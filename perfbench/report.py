@@ -1,16 +1,18 @@
 """Run the whole qclab benchmark and print (and optionally record) it.
 
-    python3 perfbench/report.py [--runs 10] [--workloads a,b] [--out FILE]
+    python3 perfbench/report.py [--runs 10] [--out FILE]
 
 From the root of a qclab source checkout.  For each workload in
 BENCHMARK.json it makes ``--runs`` untraced runs of ``run.py`` (seeds 1, 2,
 ...), each in a fresh interpreter, and prints every end-to-end metric with
 its unit, median, quartiles, spread ((q3 - q1) / median) and sample count,
 plus ``failed_frac`` (points whose output fails a check / points attempted).
-It then makes one traced run per workload and prints the per-layer metrics,
-and runs the count self-check: frame evaluations per completed base point
-and per oracle call, compared with the counts at the baseline commit.
-``--out`` writes all of it, with provenance, as JSON.
+It then makes one traced run per workload, prints the per-layer metrics,
+and runs the count self-check on it: frame evaluations per base point and
+per oracle call, and tau-derivative calls on the bypass workloads, compared
+with the counts at the baseline commit.  ``--out`` writes all of it, with
+provenance, as JSON.  The exit code is 1 if a self-check fails or a traced
+run is not correct.
 """
 
 import argparse
@@ -40,6 +42,7 @@ NO_SCAL_AT = ("invariants-n2", "invariants-n2-t2")
 
 
 def run_once(bench, workload, seed, trace):
+    """One run of ``run.py``: its stdout lines, parsed as JSON."""
     argv = [sys.executable, *bench["command"][1:], "--workload", workload,
             "--seed", str(seed), "--seconds", str(bench["run_seconds"]),
             "--trace", str(trace)]
@@ -48,7 +51,7 @@ def run_once(bench, workload, seed, trace):
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(argv)} exited {done.returncode}: "
                            f"{done.stderr.strip()}")
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return [json.loads(line) for line in done.stdout.strip().splitlines()]
 
 
 def summarise(values):
@@ -58,39 +61,13 @@ def summarise(values):
             "n": len(values), "values": values}
 
 
-def count_selfcheck(workloads):
-    """Trace one batch of each workload in-process and compare the exact
-    per-point frame-evaluation counts with ``BASELINE_COUNTS``."""
-    sys.path.insert(0, os.path.join(ROOT, "src"))
-    sys.path.insert(0, HERE)
-    import qclab.cli as cli
-    from qclab.catalog import get_chart, load_config
-    import run
-    from tracer import Tracer, frames_per_point_span
-
-    results = {}
-    for name in workloads:
-        wl = run.WORKLOADS[name]
-        kind, value = wl.chart
-        chart = load_config(value)[0] if kind == "--config" else get_chart(value)
-        box = chart.domain_box or tuple((-1.0, 1.0) for _ in range(chart.m))
-        batch = next(run.point_batches(1, box, wl.batch))
-        tracer = Tracer()
-        tracer.install()
-        try:
-            run.Runner(cli, wl, 1).call(batch, 1)
-        finally:
-            tracer.uninstall()
-        seen = frames_per_point_span(tracer.spans)
-        scal_calls = sum(span[0] == "curvature.scal_at" for span in tracer.spans)
-        ok = all(set(seen.get(span, [])) == {count}
-                 for span, count in BASELINE_COUNTS[name].items())
-        if name in NO_SCAL_AT:
-            ok = ok and scal_calls == 0
-        results[name] = {"frames_per_point_span": seen,
-                         "expected": BASELINE_COUNTS[name],
-                         "scal_at_calls": scal_calls, "pass": ok}
-    return results
+def count_selfcheck(name, counts):
+    """Compare a traced run's frame-evaluation counts with the baseline."""
+    ok = all(counts["frame_counts"].get(span) == [count]
+             for span, count in BASELINE_COUNTS[name].items())
+    if name in NO_SCAL_AT:
+        ok = ok and counts["scal_at_calls"] == 0
+    return dict(counts, expected=BASELINE_COUNTS[name], ok=ok)
 
 
 def provenance(seeds, bench):
@@ -116,10 +93,6 @@ def _fmt(x):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--workloads", default="",
-                        help="comma-separated subset (default: all)")
-    parser.add_argument("--no-trace", action="store_true",
-                        help="skip the traced runs and the count self-check")
     parser.add_argument("--out", help="write the results as JSON")
     args = parser.parse_args(argv)
     if args.runs < 2:
@@ -127,18 +100,16 @@ def main(argv=None):
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     names = [w["name"] for w in bench["workloads"]]
-    if args.workloads:
-        names = [n for n in args.workloads.split(",") if n]
     seeds = list(range(1, args.runs + 1))
     units = {m["name"]: m["unit"] for m in bench["end_to_end"]}
     bounds = {m["name"]: m.get("bound") for m in bench["end_to_end"]}
 
     report = {"provenance": provenance(seeds, bench), "end_to_end": {},
-              "per_layer": {}, "count_selfcheck": None}
+              "per_layer": {}, "count_selfcheck": {}}
     print(f"{'workload':18} {'metric':16} {'unit':5} {'median':>10} "
           f"{'q1':>10} {'q3':>10} {'spread':>7} {'bound':>6} {'n':>3}")
     for name in names:
-        runs = [run_once(bench, name, seed, 0) for seed in seeds]
+        runs = [run_once(bench, name, seed, 0)[-1] for seed in seeds]
         rows = {}
         for metric in units:
             values = [r["metrics"][metric]["value"] for r in runs
@@ -163,27 +134,31 @@ def main(argv=None):
         print(f"{name:18} failed/attempted {failed}/{attempted}, "
               f"correct runs {rows['correct_runs']}/{len(runs)}", flush=True)
 
-    if not args.no_trace:
-        print(f"\n{'workload':18} {'per-layer metric (traced, seed 1)':50} "
-              f"{'value':>12} unit")
-        for name in names:
-            traced = run_once(bench, name, 1, 1)
-            report["per_layer"][name] = traced
-            for metric, m in traced["metrics"].items():
-                print(f"{name:18} {metric:50} {_fmt(m['value']):>12} {m['unit']}")
-        check = count_selfcheck(names)
-        report["count_selfcheck"] = check
-        print("\ncount self-check (frame evaluations per completed point span):")
-        for name, c in check.items():
-            print(f"  {name:18} {'PASS' if c['pass'] else 'FAIL'} "
-                  f"seen {c['frames_per_point_span']} expected {c['expected']}"
-                  f" scal_at calls {c['scal_at_calls']}")
+    print(f"\n{'workload':18} {'per-layer metric (traced, seed 1)':50} "
+          f"{'value':>12} unit")
+    for name in names:
+        *before, traced = run_once(bench, name, 1, 1)
+        # a run that raised prints no counts line, and fails the check
+        counts = before[-1] if before else {"frame_counts": {},
+                                            "scal_at_calls": None}
+        report["per_layer"][name] = traced
+        report["count_selfcheck"][name] = count_selfcheck(name, counts)
+        for metric, m in traced["metrics"].items():
+            print(f"{name:18} {metric:50} {_fmt(m['value']):>12} {m['unit']}")
+    print("\ncount self-check (frame evaluations per point span that returned):")
+    passed = True
+    for name, c in report["count_selfcheck"].items():
+        ok = c["ok"] and report["per_layer"][name]["correct"]
+        passed = passed and ok
+        print(f"  {name:18} {'PASS' if ok else 'FAIL'} "
+              f"seen {c['frame_counts']} expected {c['expected']}"
+              f" scal_at calls {c['scal_at_calls']}")
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=1)
             fh.write("\n")
-    return 0
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

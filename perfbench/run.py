@@ -20,7 +20,11 @@ The last line of stdout is one JSON object with the keys ``correct``,
   ``cpu_s_per_point``, ``setup_s`` and ``peak_rss_mb``.
 * ``--trace 1``: the per-layer metrics of a traced pass at ``--threads 1``
   (see ``tracer.py``), followed by an untraced replay of the same points
-  whose output must be byte-identical.
+  whose output must be byte-identical.  The line before the result is one
+  JSON object ``{"frame_counts": {span: [counts]}, "scal_at_calls": n}``:
+  the distinct ``frame_field`` call counts under each point-level span that
+  returned, and the number of ``scal_at`` calls, for the count self-check
+  of ``report.py``.
 
 Workloads (why each exists is recorded in BENCHMARK.json):
 
@@ -51,13 +55,13 @@ import time
 import traceback
 from dataclasses import dataclass, field
 
-from tracer import Tracer, layer_metrics
+from tracer import Tracer, frames_per_point_span, layer_metrics
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 EINSTEIN_CONFIG = os.path.join(HERE, "qc_einstein.qc")
-SETUP_PROBES = 3          # timed set-up probes per run, after one warm-up
+SETUP_PROBES = 10         # fewest timed set-up probes per run
 
 
 def check_normal(row, tol):
@@ -168,14 +172,17 @@ class Runner:
             raise HarnessError(f"cli exit {code}: {call.err.strip()}")
         return call
 
-    def timed_pass(self, batches, seconds, threads):
-        """Call batch after batch until the next would pass ``seconds``."""
+    def timed_pass(self, batches, seconds, threads, between=None):
+        """Call batch after batch until the next would pass ``seconds``;
+        ``between()``, if given, runs after each call, outside its timing."""
         calls = []
         spent = 0.0
         for points in batches:
             self.attempted += len(points)
             calls.append(self.call(points, threads))
             spent += calls[-1].wall
+            if between is not None:
+                between()
             if spent + spent / len(calls) > seconds:
                 break
         return calls
@@ -240,19 +247,34 @@ def same_output(first, second, what):
             raise HarnessError(f"{what}: outputs differ")
 
 
-def setup_seconds(workload):
-    """Median over fresh interpreters of import + chart resolution."""
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep
-               + os.environ.get("PYTHONPATH", ""))
-    probe = [sys.executable, os.path.join(HERE, "setup_probe.py"),
-             *workload.chart]
-    times = []
-    for _ in range(SETUP_PROBES + 1):
-        done = subprocess.run(probe, env=env, cwd=ROOT, capture_output=True,
-                              text=True, timeout=120, check=True)
+class SetupProbe:
+    """Times import + chart resolution in a fresh interpreter per call.
+
+    The machine's speed drifts over seconds, so the probes are spread over
+    the timed pass (one after each CLI call) rather than run in a row.  A
+    probe's peak RSS is below the run's own, which has loaded the same
+    modules, so probes do not move ``peak_rss_mb``."""
+
+    def __init__(self, workload):
+        self.env = dict(os.environ, PYTHONPATH=SRC + os.pathsep
+                        + os.environ.get("PYTHONPATH", ""))
+        self.argv = [sys.executable, os.path.join(HERE, "setup_probe.py"),
+                     *workload.chart]
+        self.times = []
+        self()
+        self.times.clear()      # the first probe fills file caches
+
+    def __call__(self):
+        done = subprocess.run(self.argv, env=self.env, cwd=ROOT,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
         result = json.loads(done.stdout.strip().splitlines()[-1])
-        times.append(result["import_s"] + result["chart_s"])
-    return statistics.median(times[1:])      # the first fills file caches
+        self.times.append(result["import_s"] + result["chart_s"])
+
+    def median(self):
+        while len(self.times) < SETUP_PROBES:
+            self()
+        return statistics.median(self.times)
 
 
 def diagnostics(rows):
@@ -283,17 +305,24 @@ def run_untraced(runner, batches, seconds, tol):
         yield first
         yield from batches
 
-    calls = runner.timed_pass(stream(), seconds, wl.threads)
+    probe = SetupProbe(wl)
+    calls = runner.timed_pass(stream(), seconds, wl.threads, between=probe)
     peak = _peak_rss_mb()
     if wl.threads > 1:
         same_output([reference], calls[:1],
                     f"--threads 1 vs --threads {wl.threads}")
     checked = check_calls(calls, wl, tol)
+    # Times are per completed point over the calls that completed: a call
+    # that ends in a qclab error (exit 2) completes none of its points, and
+    # its cost would otherwise vary the metrics with how many points a seed
+    # draws that fail.  Those points are counted in ``failed``.
+    completed = [c for c in calls if c.code != 2] or calls
     done = max(checked.completed, 1)
     metrics = {
-        "points_per_s": (checked.completed / sum(c.wall for c in calls), "1/s"),
-        "cpu_s_per_point": (sum(c.cpu for c in calls) / done, "s"),
-        "setup_s": (setup_seconds(wl), "s"),
+        "points_per_s": (checked.completed / sum(c.wall for c in completed),
+                         "1/s"),
+        "cpu_s_per_point": (sum(c.cpu for c in completed) / done, "s"),
+        "setup_s": (probe.median(), "s"),
         "peak_rss_mb": (peak, "MB"),
     }
     return checked, metrics
@@ -323,6 +352,10 @@ def run_traced(runner, batches, seconds, tol):
     metrics["trace.overhead_frac"] = (sum(c.wall for c in traced)
                                       / sum(c.wall for c in untraced) - 1.0)
     metrics.update(diagnostics(checked.rows))
+    counts = {name: sorted(set(seen)) for name, seen
+              in frames_per_point_span(tracer.spans).items()}
+    print(json.dumps({"frame_counts": counts, "scal_at_calls": sum(
+        span[0] == "curvature.scal_at" for span in tracer.spans)}))
     return checked, {name: (value, _unit(name))
                      for name, value in metrics.items()}
 

@@ -116,33 +116,41 @@ class Tracer:
 
 def _analyse(spans):
     """Per span: duration, self time, whether it lies under chart
-    resolution, and whether it is the outermost span of its name."""
+    resolution, whether it is the outermost span of its name, and the index
+    of its outermost (root) span."""
     n = len(spans)
     dur = [s[3] - s[2] for s in spans]
     child = [0.0] * n
     in_build = [False] * n
     outermost = [True] * n
+    root = list(range(n))
     names_above = [None] * n
     for i, (name, parent, *_) in enumerate(spans):
         above = frozenset() if parent < 0 else names_above[parent]
         if parent >= 0:
             child[parent] += dur[i]
             in_build[i] = in_build[parent] or spans[parent][0] in CHART_BUILD
+            root[i] = root[parent]
         outermost[i] = name not in above
         names_above[i] = above | {name}
     selfs = [d - c for d, c in zip(dur, child)]
-    return dur, selfs, in_build, outermost
+    return dur, selfs, in_build, outermost, root
 
 
 def layer_metrics(spans, points, rows):
-    """Per-layer metrics of one traced pass over ``points`` base points
-    producing ``rows`` report rows.  Counts and times exclude work done
-    inside chart resolution (``load_config`` validates the chart at its
-    own sample points), except ``catalog.chart_build_s`` itself."""
-    dur, selfs, in_build, outermost = _analyse(spans)
+    """Per-layer metrics of one traced pass over ``points`` completed base
+    points producing ``rows`` report rows.  Counts and times exclude work
+    done inside chart resolution (``load_config`` validates the chart at its
+    own sample points), except ``catalog.chart_build_s`` itself, and every
+    span of a ``cli.main`` call in which a point-level span raised: such a
+    call ends in a qclab error and its points are not completed."""
+    dur, selfs, in_build, outermost, root = _analyse(spans)
+    failed = {root[i] for i, s in enumerate(spans)
+              if s[0] in POINT_LEVEL and s[4]}
+    kept = [root[i] not in failed for i in range(len(spans))]
     calls, self_s, incl_s, durations = {}, {}, {}, {}
     for i, (name, *_) in enumerate(spans):
-        if in_build[i]:
+        if in_build[i] or not kept[i]:
             continue
         calls[name] = calls.get(name, 0) + 1
         self_s[name] = self_s.get(name, 0.0) + selfs[i]
@@ -152,8 +160,8 @@ def layer_metrics(spans, points, rows):
     oracle_frames = frames_per_point_span(spans).get(
         "twistor.normality_direct_oracle", [])
 
-    build = [dur[i] for i, s in enumerate(spans)
-             if s[0] in CHART_BUILD and outermost[i] and not in_build[i]]
+    build = [dur[i] for i, s in enumerate(spans) if s[0] in CHART_BUILD
+             and outermost[i] and not in_build[i] and kept[i]]
     main_total = incl_s.get("cli.main", 0.0)
     point_work = sum(incl_s.get(name, 0.0) for name in POINT_WORK)
     main_calls = calls.get("cli.main", 0)
