@@ -17,10 +17,7 @@ the same schema is accepted); see the README for the grammar.
 import configparser
 import io
 import json
-import os
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import exprlang
 from .algebra import standard_triple

@@ -16,7 +16,7 @@ d eta(X, Y) = X eta(Y) - Y eta(X) - eta([X, Y]), so in coordinates
 (d eta_s)_{rq} = d_r c_{s,q} - d_q c_{s,r}.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -482,18 +482,3 @@ class FrameJet:
         vector at the base point."""
         fr = self.frame
         return fr.h_components(v), fr.v_components(v)
-
-    def structure_functions(self):
-        """kappa[alpha, beta, gamma] with [f_alpha, f_beta] =
-        sum_gamma kappa[alpha, beta, gamma] f_gamma."""
-        m = self.m
-        fourn = self.fourn
-        kappa = np.zeros((m, m, m))
-        for a in range(m):
-            for b in range(a + 1, m):
-                v = self.bracket(a, b)
-                hc, vc = self.decompose(v)
-                kappa[a, b, :fourn] = hc
-                kappa[a, b, fourn:] = vc
-                kappa[b, a] = -kappa[a, b]
-        return kappa

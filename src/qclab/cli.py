@@ -177,11 +177,11 @@ def _resolve_tol_steps(args):
         tol = tol.updated(**overrides)
     steps = DEFAULT_STEPS
     step_overrides = {}
-    if getattr(args, "fd_step", None):
+    if getattr(args, "fd_step", None) is not None:
         if args.fd_step <= 0:
             raise ValueError("--fd-step must be positive")
         step_overrides["fd"] = args.fd_step
-    if getattr(args, "curv_step", None):
+    if getattr(args, "curv_step", None) is not None:
         if args.curv_step <= 0:
             raise ValueError("--curv-step must be positive")
         step_overrides["curv"] = args.curv_step

@@ -21,21 +21,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (QuaternionTriple, endo_inner, four_part_decompose,
-                      project_P, project_sp1, project_torsion_space,
-                      skew_part, sp1_component, sym_part, torsion_skew_basis)
+from .algebra import (four_part_decompose, project_P, project_sp1,
+                      project_torsion_space, skew_part, sp1_component,
+                      sym_part, torsion_skew_basis)
 from .chart import FrameJet
 from .errors import QPreservationFail, TorsionStructureFail
-from .tolerances import DEFAULT_STEPS, DEFAULT_TOLERANCES
+from .tolerances import DEFAULT_TOLERANCES
 
 
-def horizontal_partial(chart, u, fr=None, jet=None, h=None,
-                       tol=DEFAULT_TOLERANCES):
-    """Connection coefficients gamma[a][c, b] = g(grad_{e_a} e_b, e_c)."""
-    if jet is None:
-        jet = FrameJet(chart, u, h=h, tol=tol, frame=fr)
+def _horizontal_brackets(jet):
+    """brhh[a, b, c] = g([e_a, e_b]_H, e_c)."""
     fourn = jet.fourn
-    # brhh[a, b, c] = g([e_a, e_b]_H, e_c)
     brhh = np.empty((fourn, fourn, fourn))
     for a in range(fourn):
         brhh[a, a] = 0.0
@@ -43,22 +39,31 @@ def horizontal_partial(chart, u, fr=None, jet=None, h=None,
             hc = jet.frame.h_components(jet.bracket(a, b))
             brhh[a, b] = hc
             brhh[b, a] = -hc
+    return brhh
+
+
+def _koszul(brhh):
     # gamma[a, c, b] = (brhh[a,b,c] - brhh[b,c,a] + brhh[c,a,b]) / 2
-    gamma = 0.5 * (brhh.transpose(0, 2, 1)
-                   - brhh.transpose(2, 1, 0)
-                   + brhh.transpose(1, 0, 2))
-    return gamma
+    return 0.5 * (brhh.transpose(0, 2, 1)
+                  - brhh.transpose(2, 1, 0)
+                  + brhh.transpose(1, 0, 2))
 
 
-def _horizontal_residuals(gamma, jet):
+def horizontal_partial(chart, u, fr=None, jet=None, h=None,
+                       tol=DEFAULT_TOLERANCES):
+    """Connection coefficients gamma[a][c, b] = g(grad_{e_a} e_b, e_c)."""
+    if jet is None:
+        jet = FrameJet(chart, u, h=h, tol=tol, frame=fr)
+    return _koszul(_horizontal_brackets(jet))
+
+
+def _horizontal_residuals(gamma, brhh):
     fourn = gamma.shape[0]
     metricity = max(np.abs(gamma[a] + gamma[a].T).max() for a in range(fourn))
-    worst = 0.0
-    for a in range(fourn):
-        for b in range(a + 1, fourn):
-            hc = jet.frame.h_components(jet.bracket(a, b))
-            worst = max(worst, np.abs(gamma[a][:, b] - gamma[b][:, a] - hc).max())
-    return {"metricity_H": float(metricity), "torsion_H": float(worst)}
+    # gamma[a][:, b] - gamma[b][:, a] - [e_a, e_b]_H; antisymmetric in (a, b)
+    torsion = gamma.transpose(0, 2, 1) - gamma.transpose(2, 0, 1) - brhh
+    return {"metricity_H": float(metricity),
+            "torsion_H": float(np.abs(torsion).max())}
 
 
 def vertical_on_H(chart, u, fr=None, jet=None, h=None, tol=DEFAULT_TOLERANCES):
@@ -302,7 +307,7 @@ class ConnectionAtPoint:
     B: np.ndarray              # (3, 4n, 4n) bracket matrices
     C: np.ndarray              # (3, 4n, 4n) vertical connection matrices
     T: np.ndarray              # (3, 4n, 4n) torsion endomorphisms
-    T0: np.ndarray
+    T0: np.ndarray             # T0, b, u_tensor: None when split=False
     b: np.ndarray
     u_tensor: np.ndarray
     nabla_xi_h: np.ndarray     # (4n, 3, 3)
@@ -314,12 +319,6 @@ class ConnectionAtPoint:
     def fourn(self):
         return self.gamma.shape[0]
 
-    def matrix_along(self, alpha_index):
-        """Connection matrix on H along frame direction alpha."""
-        if alpha_index < self.fourn:
-            return self.gamma[alpha_index]
-        return self.C[alpha_index - self.fourn]
-
     def stacked_matrices(self):
         return np.concatenate([self.gamma, self.C], axis=0)
 
@@ -327,25 +326,24 @@ class ConnectionAtPoint:
 def connection_at_point(chart, u, jet=None, h=None, tol=DEFAULT_TOLERANCES,
                         split=True):
     """Assemble the full connection at a point.  ``split=False`` skips the
-    torsion decomposition (used by the curvature differencing hot path)."""
+    torsion decomposition and leaves T0, b and u_tensor None (used at the
+    displaced points of the curvature differencing)."""
     if jet is None:
         jet = FrameJet(chart, u, h=h, tol=tol)
     frame = jet.frame
-    gamma = horizontal_partial(chart, u, jet=jet, tol=tol)
-    diagnostics = _horizontal_residuals(gamma, jet)
+    brhh = _horizontal_brackets(jet)
+    gamma = _koszul(brhh)
+    diagnostics = _horizontal_residuals(gamma, brhh)
     C, T, B, diag_v = vertical_on_H(chart, u, jet=jet, tol=tol)
     diagnostics.update(diag_v)
     nabla_xi_h, nabla_xi_v, alpha, diag_x = xi_derivatives(
         chart, u, jet=jet, C=C, tol=tol)
     diagnostics.update(diag_x)
+    T0 = b = u_tensor = None
     if split:
         T0, b, u_tensor, diag_t = torsion_split(
             T, frame.I, chart.n, tol=tol, point=frame.point)
         diagnostics.update(diag_t)
-    else:
-        T0 = np.array([sym_part(T[s]) for s in range(3)])
-        b = np.array([skew_part(T[s]) for s in range(3)])
-        u_tensor = -sum(frame.I[s] @ b[s] for s in range(3)) / 3.0
     return ConnectionAtPoint(frame=frame, jet=jet, gamma=gamma, B=B, C=C,
                              T=T, T0=T0, b=b, u_tensor=u_tensor,
                              nabla_xi_h=nabla_xi_h, nabla_xi_v=nabla_xi_v,

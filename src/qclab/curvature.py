@@ -5,7 +5,8 @@ frame: directional derivatives of the connection-coefficient field along the
 frame directions (central differences of step ``curv``), coefficient
 commutators, and the structure-function term.  From the curvature slots:
 Ricci, the three curvature 2-forms paired with the triple, the scalar
-curvature and its normalization tau = Scal / (16 n (n+2)).
+curvature and its normalization tau = Scal / (16 n (n+2)).  Every stencil
+takes its displaced points from a ``FrozenPivotStage``.
 """
 
 from dataclasses import dataclass
@@ -13,20 +14,67 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import endo_inner
-from .chart import FrameJet
-from .connection import connection_at_point, torsion_tensors
+from .chart import FrameJet, frame_field
+from .connection import connection_at_point
 from .errors import StepTooSmall
-from .tolerances import DEFAULT_STEPS, DEFAULT_TOLERANCES
+from .tolerances import DEFAULT_STEPS, DEFAULT_TOLERANCES, Steps
 
 
-def _connection_matrices(chart, u, pivots, h_fd, tol):
-    """Stacked connection matrices (m, 4n, 4n) at a displaced point, with
-    the frame pivots frozen to the base point's."""
-    from .chart import frame_field
-    fr = frame_field(chart, u, pivot_order=pivots, tol=tol)
-    jet = FrameJet(chart, u, h=h_fd, tol=tol, frame=fr)
-    conn = connection_at_point(chart, u, jet=jet, tol=tol, split=False)
-    return conn.stacked_matrices()
+class FrozenPivotStage:
+    """Frame -> frame jet -> connection (``split=False``) -> Scal at the
+    displaced points of one base point's stencils, with the frame pivots
+    frozen to the base point's.
+
+    This is the only place that builds them.  Results are memoised by the
+    exact point (its bytes), so a point reached by two stencils is built
+    once and a cache hit returns the floats a recomputation would.  One
+    stage serves one base point's work and is dropped with it.
+
+    The layer functions are called through their module-global names, never
+    through stored references, so wrappers installed on them (profilers,
+    tracers) see every call."""
+
+    def __init__(self, chart, pivots, steps=DEFAULT_STEPS,
+                 tol=DEFAULT_TOLERANCES):
+        self.chart = chart
+        self.pivots = pivots
+        self.steps = steps
+        self.tol = tol
+        self._cache = {}
+
+    def _memo(self, kind, p, build):
+        p = np.asarray(p, dtype=float)
+        key = (kind, p.tobytes())
+        if key not in self._cache:
+            self._cache[key] = build(p)
+        return self._cache[key]
+
+    def frame(self, p):
+        return self._memo("frame", p, lambda p: frame_field(
+            self.chart, p, pivot_order=self.pivots, tol=self.tol))
+
+    def connection(self, p):
+        def build(p):
+            jet = FrameJet(self.chart, p, h=self.steps.fd, tol=self.tol,
+                           frame=self.frame(p))
+            return connection_at_point(self.chart, p, jet=jet, tol=self.tol,
+                                       split=False)
+        return self._memo("connection", p, build)
+
+    def scal(self, p):
+        return self._memo("scal", p, lambda p: scal_at(self, p))
+
+    def tau(self, p):
+        return _tau(self.chart, self.scal(p))
+
+
+def _tau(chart, scal):
+    return scal / (16.0 * chart.n * (chart.n + 2))
+
+
+def _steps(h_curv, h_fd):
+    return Steps(fd=DEFAULT_STEPS.fd if h_fd is None else h_fd,
+                 curv=DEFAULT_STEPS.curv if h_curv is None else h_curv)
 
 
 @dataclass
@@ -50,62 +98,65 @@ class CurvatureAtPoint:
         return self.Ric.shape[0]
 
 
-def _assemble_curvature(Gam0, dGam, kappa, directions):
-    """R[alpha, beta] for the requested ordered pairs (alpha < beta)."""
-    m = Gam0.shape[0]
-    fourn = Gam0.shape[1]
+def _curvature_slots(stage, u, conn, directions):
+    """R[alpha, beta] for the ordered pairs alpha < beta of ``directions``:
+    the connection field differenced along each direction (step ``curv``)
+    at the stage's displaced points, the coefficient commutator, and the
+    structure-function term."""
+    jet = conn.jet
+    h_curv = stage.steps.curv
+    Gam0 = conn.stacked_matrices()
+    m, fourn = Gam0.shape[0], Gam0.shape[1]
+    dGam = {}
+    for a in directions:
+        v = jet.field_value(a)
+        plus = stage.connection(u + h_curv * v).stacked_matrices()
+        minus = stage.connection(u - h_curv * v).stacked_matrices()
+        dGam[a] = (plus - minus) / (2.0 * h_curv)
+
     R = np.zeros((m, m, fourn, fourn))
     for a in directions:
         for b in directions:
             if b <= a:
                 continue
+            kappa = np.concatenate(jet.decompose(jet.bracket(a, b)))
             M = dGam[a][b] - dGam[b][a] \
                 + Gam0[a] @ Gam0[b] - Gam0[b] @ Gam0[a] \
-                - np.tensordot(kappa[a, b], Gam0, axes=(0, 0))
+                - np.tensordot(kappa, Gam0, axes=(0, 0))
             R[a, b] = M
             R[b, a] = -M
     return R
 
 
 def curvature_at_point(chart, u, conn=None, h_curv=None, h_fd=None,
-                       tol=DEFAULT_TOLERANCES, pairs="all",
-                       with_dtau=True, dtau_dirs=None):
+                       tol=DEFAULT_TOLERANCES, pairs="all", dtau_dirs=None,
+                       stage=None):
     """Curvature data at a point.
 
     ``pairs="horizontal"`` restricts to horizontal index pairs (enough for
     Ric, Scal, tau) and is the cheap path used when differencing tau itself.
     ``dtau_dirs`` selects which Reeb directions tau is differenced along
-    (default: all three when the full slot set is computed).
+    (default: all three when the full slot set is computed).  Displaced
+    points come from ``stage``, whose steps then replace ``h_curv`` and
+    ``h_fd``; without one, a stage is built for this point's pivots.
     """
-    if h_curv is None:
-        h_curv = DEFAULT_STEPS.curv
-    if h_fd is None:
-        h_fd = DEFAULT_STEPS.fd
     u = np.asarray(u, dtype=float)
+    steps = stage.steps if stage is not None else _steps(h_curv, h_fd)
     if conn is None:
-        conn = connection_at_point(chart, u, h=h_fd, tol=tol)
-    jet = conn.jet
+        conn = connection_at_point(chart, u, h=steps.fd, tol=tol)
+    if stage is None:
+        stage = FrozenPivotStage(chart, conn.frame.pivot_order, steps, tol)
+    h_curv = steps.curv
     frame = conn.frame
     fourn = frame.fourn
     m = chart.m
-    pivots = frame.pivot_order
 
     directions = range(fourn) if pairs == "horizontal" else range(m)
-
-    Gam0 = conn.stacked_matrices()
-    dGam = np.zeros((m, m, fourn, fourn))
-    for a in directions:
-        v = jet.field_value(a)
-        plus = _connection_matrices(chart, u + h_curv * v, pivots, h_fd, tol)
-        minus = _connection_matrices(chart, u - h_curv * v, pivots, h_fd, tol)
-        dGam[a] = (plus - minus) / (2.0 * h_curv)
-
-    kappa = jet.structure_functions()
-    R = _assemble_curvature(Gam0, dGam, kappa, directions)
+    R = _curvature_slots(stage, u, conn, directions)
 
     Ric = np.einsum("babc->ac", R[:fourn, :fourn, :, :])
     Scal = float(np.trace(Ric))
-    tau = Scal / (16.0 * chart.n * (chart.n + 2))
+    tau = _tau(chart, Scal)
 
     rho = np.zeros((3, m, m))
     for s in range(3):
@@ -125,15 +176,15 @@ def curvature_at_point(chart, u, conn=None, h_curv=None, h_fd=None,
             skew_res = max(skew_res, np.abs(R[a, b] + R[a, b].T).max())
 
     if dtau_dirs is None:
-        dtau_dirs = (0, 1, 2) if (with_dtau and pairs == "all") else ()
+        dtau_dirs = (0, 1, 2) if pairs == "all" else ()
     dtau_xi = None
     if dtau_dirs:
         dtau_xi = np.zeros(3)
         for s in dtau_dirs:
             v = frame.xi[:, s]
-            tp = scal_at(chart, u + h_curv * v, pivots, h_curv, h_fd, tol)
-            tm = scal_at(chart, u - h_curv * v, pivots, h_curv, h_fd, tol)
-            dtau_xi[s] = (tp - tm) / (2.0 * h_curv) / (16.0 * chart.n * (chart.n + 2))
+            tp = stage.scal(u + h_curv * v)
+            tm = stage.scal(u - h_curv * v)
+            dtau_xi[s] = _tau(chart, (tp - tm) / (2.0 * h_curv))
 
     diagnostics = {"curvature_metricity": float(skew_res)}
     return CurvatureAtPoint(frame=frame, conn=conn, R=R, Ric=Ric, rho=rho,
@@ -141,15 +192,12 @@ def curvature_at_point(chart, u, conn=None, h_curv=None, h_fd=None,
                             diagnostics=diagnostics)
 
 
-def scal_at(chart, u, pivots, h_curv, h_fd, tol):
+def scal_at(stage, u):
     """Scalar curvature at a (displaced) point through the horizontal-pair
-    path; used for differencing tau along the Reeb directions."""
-    from .chart import frame_field
-    fr = frame_field(chart, u, pivot_order=pivots, tol=tol)
-    jet = FrameJet(chart, u, h=h_fd, tol=tol, frame=fr)
-    conn = connection_at_point(chart, u, jet=jet, tol=tol, split=False)
-    curv = curvature_at_point(chart, u, conn=conn, h_curv=h_curv, h_fd=h_fd,
-                              tol=tol, pairs="horizontal", with_dtau=False)
+    path; used for differencing tau along the Reeb directions.  Callers go
+    through ``FrozenPivotStage.scal``, which memoises it."""
+    curv = curvature_at_point(stage.chart, u, conn=stage.connection(u),
+                              tol=stage.tol, pairs="horizontal", stage=stage)
     return curv.Scal
 
 
@@ -157,38 +205,16 @@ def curvature_endo(chart, u, a_index, b_index, h_curv=None, h_fd=None,
                    tol=DEFAULT_TOLERANCES, conn=None):
     """Matrix of R(f_a, f_b)|H for a single ordered pair of frame
     directions."""
-    if h_curv is None:
-        h_curv = DEFAULT_STEPS.curv
-    if h_fd is None:
-        h_fd = DEFAULT_STEPS.fd
+    steps = _steps(h_curv, h_fd)
     u = np.asarray(u, dtype=float)
     if conn is None:
-        conn = connection_at_point(chart, u, h=h_fd, tol=tol, split=False)
-    jet = conn.jet
-    pivots = conn.frame.pivot_order
-    Gam0 = conn.stacked_matrices()
-
-    sign = 1.0
+        conn = connection_at_point(chart, u, h=steps.fd, tol=tol, split=False)
     if a_index == b_index:
-        return np.zeros_like(Gam0[0])
-    if a_index > b_index:
-        a_index, b_index = b_index, a_index
-        sign = -1.0
-
-    dmat = {}
-    for idx in (a_index, b_index):
-        v = jet.field_value(idx)
-        plus = _connection_matrices(chart, u + h_curv * v, pivots, h_fd, tol)
-        minus = _connection_matrices(chart, u - h_curv * v, pivots, h_fd, tol)
-        dmat[idx] = (plus - minus) / (2.0 * h_curv)
-
-    br = jet.bracket(a_index, b_index)
-    hc, vc = jet.decompose(br)
-    kappa_ab = np.concatenate([hc, vc])
-    M = dmat[a_index][b_index] - dmat[b_index][a_index] \
-        + Gam0[a_index] @ Gam0[b_index] - Gam0[b_index] @ Gam0[a_index] \
-        - np.tensordot(kappa_ab, Gam0, axes=(0, 0))
-    return sign * M
+        return np.zeros_like(conn.gamma[0])
+    a, b = sorted((a_index, b_index))
+    stage = FrozenPivotStage(chart, conn.frame.pivot_order, steps, tol)
+    M = _curvature_slots(stage, u, conn, (a, b))[a, b]
+    return M if a_index < b_index else -M
 
 
 def step_diagnostic(chart, u, a_index, b_index, h_curv=None,
@@ -212,22 +238,6 @@ def step_diagnostic(chart, u, a_index, b_index, h_curv=None,
             f"curvature differencing noise-dominated: deltas {delta1:.2e} "
             f"-> {delta2:.2e} under step halving")
     return delta1, delta2, ratio
-
-
-def ricci(chart, u, h_curv=None, h_fd=None, tol=DEFAULT_TOLERANCES, curv=None):
-    """Ricci form restricted to H: Ric(A, B) = sum_b g(R(e_b, A)B, e_b)."""
-    if curv is None:
-        curv = curvature_at_point(chart, u, h_curv=h_curv, h_fd=h_fd, tol=tol,
-                                  pairs="horizontal", with_dtau=False)
-    return curv.Ric
-
-
-def rho_scal_tau(chart, u, h_curv=None, h_fd=None, tol=DEFAULT_TOLERANCES,
-                 curv=None):
-    """(rho, Scal, tau, dtau along the Reeb directions)."""
-    if curv is None:
-        curv = curvature_at_point(chart, u, h_curv=h_curv, h_fd=h_fd, tol=tol)
-    return curv.rho, curv.Scal, curv.tau, curv.dtau_xi
 
 
 def vertical_form_identity_residual(alpha_vert, dxx, tau):
@@ -258,8 +268,7 @@ def alpha_identity_check(chart, u, h_curv=None, h_fd=None,
         conn = connection_at_point(chart, u, h=h_fd, tol=tol)
     if curv is None:
         curv = curvature_at_point(chart, u, conn=conn, h_curv=h_curv,
-                                  h_fd=h_fd, tol=tol, pairs="horizontal",
-                                  with_dtau=False)
+                                  h_fd=h_fd, tol=tol, pairs="horizontal")
     frame = conn.frame
     fourn = frame.fourn
     alpha_vert = conn.alpha[:, fourn:]

@@ -177,17 +177,15 @@ def identity_suite(chart, u, x, steps=DEFAULT_STEPS, tol=DEFAULT_TOLERANCES,
     """The full identity suite at one base point and one fibre point.
     Returns a list of CheckResult."""
     u = np.asarray(u, dtype=float)
-    checks = frame_checks(chart, u, steps, tol)
-    conn = connection_at_point(chart, u, h=steps.fd, tol=tol)
-    checks += connection_checks(chart, u, conn, tol)
-    torsion = torsion_tensors(conn)
-    checks += torsion_tensor_checks(torsion, tol)
-    curv = curvature_at_point(chart, u, conn=conn, h_curv=steps.curv,
-                              h_fd=steps.fd, tol=tol)
-    checks += curvature_checks(chart, u, conn, curv, torsion, tol)
+    base = tw.base_point_data(chart, u, steps=steps, tol=tol)
+    checks = frame_checks(chart, u, steps, tol, frame=base.frame)
+    checks += connection_checks(chart, u, base.conn, tol)
+    checks += torsion_tensor_checks(base.torsion, tol)
+    checks += curvature_checks(chart, u, base.conn, base.curv, base.torsion,
+                               tol)
 
     ctx = tw.TwistorContext(chart=chart, tp=tw.TwistorPoint(u, x),
-                            frame=conn.frame, tau=curv.tau)
+                            frame=base.frame, tau=base.tau)
     checks += twistor_pointwise_checks(ctx, seed=seed, tol=tol)
     checks.append(CheckResult.from_value(
         "contact-differential-oracle",
@@ -200,23 +198,9 @@ def identity_suite(chart, u, x, steps=DEFAULT_STEPS, tol=DEFAULT_TOLERANCES,
     checks.append(CheckResult.from_value("cr-levi-invariance", cr["levi"],
                                          tol.vertical_forms))
 
-    base = tw.BasePointData(chart=chart, frame=conn.frame, conn=conn,
-                            torsion=torsion, curv=curv,
-                            bracket_vv_h=_vv_brackets(conn))
     report = tw.report_from_base(base, x, tol=tol)
     checks += zero_torsion_system_checks(report, tol)
     return checks
-
-
-def _vv_brackets(conn):
-    fourn = conn.frame.fourn
-    br = np.zeros((3, 3, fourn))
-    for q in range(3):
-        for r in range(3):
-            if q != r:
-                br[q, r] = conn.frame.h_components(
-                    conn.jet.bracket(fourn + q, fourn + r))
-    return br
 
 
 def invariants_row(chart, u, steps=DEFAULT_STEPS, tol=DEFAULT_TOLERANCES):
@@ -225,8 +209,7 @@ def invariants_row(chart, u, steps=DEFAULT_STEPS, tol=DEFAULT_TOLERANCES):
     conn = connection_at_point(chart, u, h=steps.fd, tol=tol)
     torsion = torsion_tensors(conn)
     curv = curvature_at_point(chart, u, conn=conn, h_curv=steps.curv,
-                              h_fd=steps.fd, tol=tol, pairs="horizontal",
-                              with_dtau=False)
+                              h_fd=steps.fd, tol=tol, pairs="horizontal")
     return {
         "t0_norm": torsion.t0_norm,
         "u_norm": torsion.u_norm,

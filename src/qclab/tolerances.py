@@ -6,7 +6,7 @@ derivatives) are checked at 1e-7..1e-9; second-difference quantities
 (curvature, Ricci decomposition) at 1e-4..1e-5.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)

@@ -20,14 +20,14 @@ are independent implementations of the same tensors and are compared by the
 test suite.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import v_cross
-from .chart import FrameJet, PointFrame, frame_field
+from .chart import PointFrame, frame_field
 from .connection import connection_at_point, torsion_tensors
-from .curvature import curvature_at_point, scal_at
+from .curvature import FrozenPivotStage, curvature_at_point
 from .tolerances import DEFAULT_STEPS, DEFAULT_TOLERANCES
 
 
@@ -146,8 +146,7 @@ def twistor_context(chart, u, x, tau=None, frame=None,
     if frame is None:
         frame = frame_field(chart, tp.u, tol=tol)
     if tau is None:
-        scal = scal_at(chart, tp.u, frame.pivot_order, steps.curv, steps.fd, tol)
-        tau = scal / (16.0 * chart.n * (chart.n + 2))
+        tau = FrozenPivotStage(chart, frame.pivot_order, steps, tol).tau(tp.u)
     return TwistorContext(chart=chart, tp=tp, frame=frame, tau=tau)
 
 
@@ -390,57 +389,20 @@ class _BundleCalculus:
     """Local realization of the sphere bundle with coordinates (u, x) in
     R^{m+3}: horizontal lifts through the quaternion-bundle connection form,
     vertical fields, the contact form and metric as functions, and
-    finite-difference brackets.  Connection data at displaced base points is
-    cached per point."""
+    finite-difference brackets.  Frames, connections and tau at displaced
+    base points come from a frozen-pivot stage of its own."""
 
     def __init__(self, chart, tp, steps=DEFAULT_STEPS, tol=DEFAULT_TOLERANCES):
         self.chart = chart
         self.tp = tp
-        self.steps = steps
-        self.tol = tol
-        self.center = frame_field(chart, tp.u, tol=tol)
-        self.pivots = self.center.pivot_order
+        center = frame_field(chart, tp.u, tol=tol)
+        self.fourn = center.fourn
+        self.stage = FrozenPivotStage(chart, center.pivot_order, steps, tol)
         self.z0 = np.concatenate([tp.u, tp.x])
-        self._conn_cache = {}
-        self._frame_cache = {}
-        self._tau_cache = {}
 
     @property
     def m(self):
         return self.chart.m
-
-    @property
-    def fourn(self):
-        return self.center.fourn
-
-    def conn_at(self, u):
-        key = tuple(np.round(u, 14))
-        if key not in self._conn_cache:
-            fr = frame_field(self.chart, u, pivot_order=self.pivots,
-                             tol=self.tol)
-            jet = FrameJet(self.chart, u, h=self.steps.fd, tol=self.tol,
-                           frame=fr)
-            self._conn_cache[key] = connection_at_point(
-                self.chart, u, jet=jet, tol=self.tol, split=False)
-        return self._conn_cache[key]
-
-    def coframe_at(self, u):
-        key = tuple(np.round(u, 14))
-        conn = self._conn_cache.get(key)
-        if conn is not None:
-            return conn.frame.coframe
-        if key not in self._frame_cache:
-            self._frame_cache[key] = frame_field(
-                self.chart, u, pivot_order=self.pivots, tol=self.tol)
-        return self._frame_cache[key].coframe
-
-    def tau_at(self, u):
-        key = tuple(np.round(u, 14))
-        if key not in self._tau_cache:
-            scal = scal_at(self.chart, u, self.pivots, self.steps.curv,
-                           self.steps.fd, self.tol)
-            self._tau_cache[key] = scal / (16.0 * self.chart.n * (self.chart.n + 2))
-        return self._tau_cache[key]
 
     def q_connection_form(self, conn, v):
         """gamma[s, t] = <grad_v I_s, I_t> for a coordinate vector v."""
@@ -462,7 +424,7 @@ class _BundleCalculus:
         """Horizontal lift of the base field ``pick(connection)``."""
         def fn(z):
             u, x = z[:self.m], z[self.m:]
-            conn = self.conn_at(u)
+            conn = self.stage.connection(u)
             v = pick(conn, x)
             gam = self.q_connection_form(conn, v)
             return np.concatenate([v, -(x @ gam)])
@@ -502,7 +464,7 @@ class _BundleCalculus:
         """Convert a coordinate vector w in R^{m+3} at bundle point z into
         TwistorTangent components."""
         u, x = z[:self.m], z[self.m:]
-        conn = self.conn_at(u)
+        conn = self.stage.connection(u)
         frame = conn.frame
         v = w[:self.m]
         fibre = w[self.m:]
@@ -514,7 +476,7 @@ class _BundleCalculus:
 
     def from_tangent(self, z, t):
         u, x = z[:self.m], z[self.m:]
-        conn = self.conn_at(u)
+        conn = self.stage.connection(u)
         frame = conn.frame
         v = frame.eH @ t.baseH + frame.xi @ t.baseV
         gam = self.q_connection_form(conn, v)
@@ -523,11 +485,10 @@ class _BundleCalculus:
     def context_at(self, z, with_tau=True):
         u, x = z[:self.m], z[self.m:]
         xn = x / np.linalg.norm(x)
-        conn = self.conn_at(u)
         return TwistorContext(chart=self.chart,
                               tp=TwistorPoint(u, xn),
-                              frame=conn.frame,
-                              tau=self.tau_at(u) if with_tau else 0.0)
+                              frame=self.stage.connection(u).frame,
+                              tau=self.stage.tau(u) if with_tau else 0.0)
 
     def metric_fn(self, z, w1, w2):
         ctx = self.context_at(z)
@@ -535,7 +496,7 @@ class _BundleCalculus:
 
     def eta_fn(self, z, w):
         u, x = z[:self.m], z[self.m:]
-        return float(x @ (self.coframe_at(u) @ w[:self.m]))
+        return float(x @ (self.stage.frame(u).coframe @ w[:self.m]))
 
     def phi_value(self, z, w, flip_vertical=False):
         """Coordinate representation of Phi applied to a tangent vector.

@@ -88,8 +88,7 @@ def h2_invariant_data(h2):
         for u in h2.sample_points(N_POINTS, SEED):
             conn = connection_at_point(h2, u)
             tors = torsion_tensors(conn)
-            curv = curvature_at_point(h2, u, conn=conn, pairs="horizontal",
-                                      with_dtau=False)
+            curv = curvature_at_point(h2, u, conn=conn, pairs="horizontal")
             rows.append((conn, tors, curv))
         return rows
     return _timed("h2-invariants", build)

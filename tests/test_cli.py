@@ -143,6 +143,14 @@ def test_exit_code_on_usage_error():
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--fd-step", "--curv-step"])
+def test_zero_step_is_usage_error(flag):
+    # 0 is rejected like any other non-positive step, not taken as unset
+    code, _ = run_cli("validate", "--chart", "heisenberg-1", "--points", "1",
+                      flag, "0")
+    assert code == 2
+
+
 def test_explicit_point_list():
     code, out = run_cli("validate", "--chart", "heisenberg-1",
                         "--points", "0,0,0,0,0,0,0;0.1,0,0,0,0,0,0",

@@ -4,8 +4,7 @@ import pytest
 from qclab.catalog import conformal, heisenberg
 from qclab.connection import connection_at_point, torsion_tensors
 from qclab.curvature import (alpha_identity_check, curvature_at_point,
-                             curvature_endo, ricci,
-                             ricci_decomposition_residual, rho_scal_tau,
+                             curvature_endo, ricci_decomposition_residual,
                              step_diagnostic, vertical_form_identity_residual)
 
 RNG = np.random.default_rng(31)
@@ -106,8 +105,7 @@ def test_homothety_preserves_flatness():
     chart = conformal(heisenberg(1), "2")
     conn = connection_at_point(chart, POINT)
     tors = torsion_tensors(conn)
-    curv = curvature_at_point(chart, POINT, conn=conn, pairs="horizontal",
-                              with_dtau=False)
+    curv = curvature_at_point(chart, POINT, conn=conn, pairs="horizontal")
     assert tors.t0_norm <= 1e-6
     assert tors.u_norm <= 1e-6
     assert abs(curv.Scal) <= 1e-6
@@ -118,14 +116,6 @@ def test_einstein_degeneration_on_zero_torsion_chart(flat_curv):
     # the pure trace part
     expected = (flat_curv.Scal / 4.0) * np.eye(4)
     assert np.abs(flat_curv.Ric - expected).max() <= 1e-4
-
-
-def test_convenience_wrappers(deformed_chart, deformed_data):
-    conn, curv = deformed_data
-    assert np.abs(ricci(deformed_chart, POINT, curv=curv) - curv.Ric).max() == 0.0
-    rho, scal, tau, dtau = rho_scal_tau(deformed_chart, POINT, curv=curv)
-    assert scal == curv.Scal
-    assert np.abs(rho - curv.rho).max() == 0.0
 
 
 def test_mixed_slots_present(deformed_data):
