@@ -18,9 +18,9 @@ from .connection import (ConnectionAtPoint, TorsionTensors,
                          connection_at_point, horizontal_partial,
                          torsion_reconstruction_check, torsion_split, torsion_tensors,
                          vertical_on_H, xi_derivatives)
-from .curvature import (CurvatureAtPoint, alpha_identity_check,
-                        curvature_at_point, curvature_endo,
-                        ricci_decomposition_residual)
+from .curvature import (CurvatureAtPoint, FrozenPivotStage,
+                        alpha_identity_check, curvature_at_point,
+                        curvature_endo, ricci_decomposition_residual)
 from .exprlang import evaluate, grad, parse
 from .tolerances import DEFAULT_STEPS, DEFAULT_TOLERANCES, Steps, Tolerances
 from .twistor import (TwistorPoint, TwistorReport, TwistorTangent,

@@ -23,7 +23,8 @@ import numpy as np
 from . import exprlang
 from .algebra import QuaternionTriple
 from .errors import (BiquardConditionFail, DegenerateCoframe, DegenerateLevi,
-                     IllConditioned, NotPositive, NotQuaternionic)
+                     EvalDomainError, IllConditioned, NotPositive,
+                     NotQuaternionic)
 from .tolerances import DEFAULT_STEPS, DEFAULT_TOLERANCES
 
 # GS pivots: relative tie snap for seed norms, and drop threshold for
@@ -54,26 +55,34 @@ class QCChart:
         return 4 * self.n + 3
 
     def eval_coframe(self, u):
-        """Component matrix of the coframe at u: shape (3, m)."""
+        """Component matrix of the coframe at u: shape (3, m).  A domain
+        error names the point."""
         u = np.asarray(u, dtype=float)
         out = np.empty((3, self.m))
-        for s in range(3):
-            for r in range(self.m):
-                out[s, r] = self.coeffs[s][r].eval(u)
+        try:
+            for s in range(3):
+                for r in range(self.m):
+                    out[s, r] = self.coeffs[s][r].eval(u)
+        except EvalDomainError as exc:
+            raise EvalDomainError(str(exc), point=u) from exc
         return out
 
     def eval_dcoframe(self, u):
         """Exterior derivatives as three m x m skew matrices (exact forward-
-        mode derivatives of the coefficients; skew by construction)."""
+        mode derivatives of the coefficients; skew by construction).  A
+        domain error names the point."""
         u = np.asarray(u, dtype=float)
         m = self.m
         duals = exprlang.make_duals(u)
         out = np.empty((3, m, m))
-        for s in range(3):
-            P = np.empty((m, m))
-            for q in range(m):
-                P[:, q] = self.coeffs[s][q].eval_dual(duals).partials
-            out[s] = P - P.T
+        try:
+            for s in range(3):
+                P = np.empty((m, m))
+                for q in range(m):
+                    P[:, q] = self.coeffs[s][q].eval_dual(duals).partials
+                out[s] = P - P.T
+        except EvalDomainError as exc:
+            raise EvalDomainError(str(exc), point=u) from exc
         return out
 
     def rotated(self, rot):
@@ -279,22 +288,12 @@ class PointFrame:
     def fourn(self):
         return self.eH.shape[1]
 
-    def eta(self, v):
-        """Coframe values (eta_1(v), eta_2(v), eta_3(v))."""
-        return self.coframe @ v
-
-    def metric(self, v, w):
-        return float(v @ self.g_coord @ w)
-
     def h_components(self, v):
         """Coefficients of the horizontal part of v in the eH frame."""
         return self.eH.T @ self.g_coord @ v
 
     def v_components(self, v):
         return self.coframe @ v
-
-    def from_components(self, h_coeffs, v_coeffs):
-        return self.eH @ np.asarray(h_coeffs) + self.xi @ np.asarray(v_coeffs)
 
     def validate(self, tol=DEFAULT_TOLERANCES):
         """Residuals of the frame invariants; raises nothing."""
@@ -417,17 +416,17 @@ def lie_bracket(chart, x_fn, y_fn, u, h=None):
 
 class FrameJet:
     """Frame at a point together with coordinate Jacobians of all frame
-    fields and of the triple matrices, from central differences with frozen
-    pivots.  Everything downstream (brackets, vertical derivatives of the
-    triple, structure functions) is algebraic in this data."""
+    fields and of the triple matrices, from central differences of step
+    ``h`` with the frame's pivots frozen.  Everything downstream (brackets,
+    vertical derivatives of the triple, structure functions) is algebraic in
+    this data."""
 
-    def __init__(self, chart, u, h=None, tol=DEFAULT_TOLERANCES, frame=None):
-        if h is None:
-            h = DEFAULT_STEPS.fd
+    def __init__(self, chart, frame, h=DEFAULT_STEPS.fd,
+                 tol=DEFAULT_TOLERANCES):
         self.chart = chart
         self.h = h
-        self.frame = frame if frame is not None else frame_field(chart, u, tol=tol)
-        u = self.frame.point
+        self.frame = frame
+        u = frame.point
         m = chart.m
         fourn = self.frame.fourn
         pivots = self.frame.pivot_order

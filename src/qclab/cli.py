@@ -161,7 +161,7 @@ def build_parser():
     return parser
 
 
-def _resolve_tol_steps(args):
+def _resolve_numerics(args):
     tol = DEFAULT_TOLERANCES
     overrides = {}
     for flag, name in (("tol_normal", "normal"), ("tol_t0", "t0"),
@@ -217,6 +217,12 @@ def _resolve_points(args, chart):
     if count <= 0:
         raise ValueError("--points must be positive")
     return list(chart.sample_points(count, args.seed))
+
+
+def _resolve_fibres(args):
+    if args.fiber < 1:
+        raise ValueError("--fiber must be positive")
+    return tw.fibonacci_sphere(args.fiber)
 
 
 def _base_report(args, command, chart_label, chart, tol, steps):
@@ -277,7 +283,7 @@ def _validate_work(chart, tol, item):
 
 
 def cmd_validate(args):
-    tol, steps = _resolve_tol_steps(args)
+    tol, steps = _resolve_numerics(args)
     chart, label = _resolve_chart(args, tol)
     points = _resolve_points(args, chart)
     threads = args.threads if args.threads is not None else _thread_default()
@@ -303,7 +309,7 @@ def _invariants_work(chart, steps, tol, item):
 
 
 def cmd_invariants(args):
-    tol, steps = _resolve_tol_steps(args)
+    tol, steps = _resolve_numerics(args)
     chart, label = _resolve_chart(args, tol)
     points = _resolve_points(args, chart)
     threads = args.threads if args.threads is not None else _thread_default()
@@ -352,11 +358,11 @@ def _normality_work(chart, steps, tol, fibre_points, gauge_pipeline, oracle,
 
 
 def cmd_normality(args):
-    tol, steps = _resolve_tol_steps(args)
+    tol, steps = _resolve_numerics(args)
     chart, label = _resolve_chart(args, tol)
     points = _resolve_points(args, chart)
     threads = args.threads if args.threads is not None else _thread_default()
-    fibre_points = tw.fibonacci_sphere(args.fiber)
+    fibre_points = _resolve_fibres(args)
 
     work = functools.partial(_normality_work, chart, steps, tol, fibre_points,
                              args.gauge_pipeline, args.oracle, args.seed)
@@ -406,11 +412,11 @@ def _identities_work(chart, steps, tol, fibre_points, seed, item):
 
 
 def cmd_identities(args):
-    tol, steps = _resolve_tol_steps(args)
+    tol, steps = _resolve_numerics(args)
     chart, label = _resolve_chart(args, tol)
     points = _resolve_points(args, chart)
     threads = args.threads if args.threads is not None else _thread_default()
-    fibre_points = tw.fibonacci_sphere(max(1, args.fiber))
+    fibre_points = _resolve_fibres(args)
 
     work = functools.partial(_identities_work, chart, steps, tol,
                              fibre_points, args.seed)
@@ -464,11 +470,11 @@ def _sweep_work(chart, steps, tol, fibre_points, item):
 
 
 def cmd_sweep(args):
-    tol, steps = _resolve_tol_steps(args)
+    tol, steps = _resolve_numerics(args)
     chart, label = _resolve_chart(args, tol)
     points = _resolve_points(args, chart)
     threads = args.threads if args.threads is not None else _thread_default()
-    fibre_points = tw.fibonacci_sphere(args.fiber)
+    fibre_points = _resolve_fibres(args)
 
     work = functools.partial(_sweep_work, chart, steps, tol, fibre_points)
     nested = _parallel_map(work, list(enumerate(points)), threads)

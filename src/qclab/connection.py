@@ -49,11 +49,8 @@ def _koszul(brhh):
                   + brhh.transpose(1, 0, 2))
 
 
-def horizontal_partial(chart, u, fr=None, jet=None, h=None,
-                       tol=DEFAULT_TOLERANCES):
+def horizontal_partial(jet):
     """Connection coefficients gamma[a][c, b] = g(grad_{e_a} e_b, e_c)."""
-    if jet is None:
-        jet = FrameJet(chart, u, h=h, tol=tol, frame=fr)
     return _koszul(_horizontal_brackets(jet))
 
 
@@ -66,13 +63,11 @@ def _horizontal_residuals(gamma, brhh):
             "torsion_H": float(np.abs(torsion).max())}
 
 
-def vertical_on_H(chart, u, fr=None, jet=None, h=None, tol=DEFAULT_TOLERANCES):
+def vertical_on_H(jet, tol=DEFAULT_TOLERANCES):
     """Full matrices C_s of grad_{xi_s} on the frame and the torsion
     endomorphisms T_s = C_s - B_s.
 
     Returns (C, T, B, diagnostics)."""
-    if jet is None:
-        jet = FrameJet(chart, u, h=h, tol=tol, frame=fr)
     frame = jet.frame
     fourn = jet.fourn
     triple = frame.I
@@ -133,23 +128,19 @@ def vertical_on_H(chart, u, fr=None, jet=None, h=None, tol=DEFAULT_TOLERANCES):
     return C, T, B, diagnostics
 
 
-def xi_derivatives(chart, u, fr=None, jet=None, C=None, h=None,
-                   tol=DEFAULT_TOLERANCES):
+def xi_derivatives(jet, C):
     """Derivatives of the Reeb fields and the vertical connection 1-forms.
 
     grad_{e_a} xi_s is the vertical part of [e_a, xi_s]; grad_{xi_t} xi_s is
     transferred from the quaternion-bundle derivative grad_{xi_t} I_s through
     the frame isomorphism xi_r -> I_r.  The 1-forms alpha are read off from
-    grad xi_i = -alpha_j (x) xi_k + alpha_k (x) xi_j.
+    grad xi_i = -alpha_j (x) xi_k + alpha_k (x) xi_j; ``C`` holds the
+    vertical connection matrices from ``vertical_on_H``.
 
     Returns (nabla_xi_h, nabla_xi_v, alpha, diagnostics)."""
-    if jet is None:
-        jet = FrameJet(chart, u, h=h, tol=tol, frame=fr)
     frame = jet.frame
     fourn = jet.fourn
     triple = frame.I
-    if C is None:
-        C, _, _, _ = vertical_on_H(chart, u, jet=jet, tol=tol)
 
     nabla_xi_h = np.empty((fourn, 3, 3))
     for a in range(fourn):
@@ -173,8 +164,7 @@ def xi_derivatives(chart, u, fr=None, jet=None, C=None, h=None,
     for t in range(3):
         v_metric = max(v_metric, np.abs(nabla_xi_v[t] + nabla_xi_v[t].T).max())
 
-    m = chart.m
-    alpha = np.empty((3, m))
+    alpha = np.empty((3, jet.m))
     cyclic = {2: (0, 1), 0: (1, 2), 1: (2, 0)}  # alpha_k(A) = g(grad_A xi_i, xi_j)
     for k, (i, j) in cyclic.items():
         for a in range(fourn):
@@ -235,10 +225,14 @@ def torsion_split(T, triple, n, tol=DEFAULT_TOLERANCES, point=None):
 @dataclass
 class TorsionTensors:
     """The two invariant symmetric 2-tensors on H, as value matrices on the
-    frame: T0[a, b] = T0(e_a, e_b) and U[a, b] = U(e_a, e_b)."""
+    frame: T0[a, b] = T0(e_a, e_b) and U[a, b] = U(e_a, e_b); the symmetric
+    parts T0_xi[s] of the torsion endomorphisms and the tensor u they were
+    assembled from; and the split and re-check diagnostics."""
 
     T0: np.ndarray
     U: np.ndarray
+    T0_xi: np.ndarray          # (3, 4n, 4n)
+    u_tensor: np.ndarray       # (4n, 4n)
     diagnostics: dict
 
     @property
@@ -250,14 +244,17 @@ class TorsionTensors:
         return float(np.linalg.norm(self.U))
 
 
-def torsion_tensors(conn, fr=None):
-    """Assemble T0(X, Y) = g((T0_{xi_1} I_1 + T0_{xi_2} I_2 + T0_{xi_3} I_3)X, Y)
+def torsion_tensors(conn, tol=DEFAULT_TOLERANCES):
+    """Split the torsion endomorphisms (``torsion_split``), assemble
+    T0(X, Y) = g((T0_{xi_1} I_1 + T0_{xi_2} I_2 + T0_{xi_3} I_3)X, Y)
     and U(X, Y) = g(uX, Y), and re-check their defining properties."""
-    frame = fr if fr is not None else conn.frame
+    frame = conn.frame
     triple = frame.I
-    M = sum(conn.T0[s] @ triple[s] for s in range(3))
+    T0_xi, _, u_tensor, diagnostics = torsion_split(
+        conn.T, triple, conn.jet.chart.n, tol=tol, point=frame.point)
+    M = sum(T0_xi[s] @ triple[s] for s in range(3))
     T0_form = M.T
-    U_form = conn.u_tensor.T
+    U_form = u_tensor.T
 
     sym_res = max(np.abs(T0_form - T0_form.T).max(),
                   np.abs(U_form - U_form.T).max())
@@ -270,24 +267,24 @@ def torsion_tensors(conn, fr=None):
     # 4 g(T0(xi_s, X), Y) = -T0(I_s X, Y) - T0(X, I_s Y), i.e. the endomorphism
     # form of the tensor reproduces each symmetric torsion part:
     equiv = max(
-        np.abs(4.0 * conn.T0[s]
+        np.abs(4.0 * T0_xi[s]
                + (triple[s].T @ T0_form + T0_form @ triple[s]).T).max()
         for s in range(3))
-    diagnostics = {
+    diagnostics.update({
         "form_symmetry": float(sym_res),
         "t0_quaternion_sum": float(np.abs(quat_sum).max()),
         "u_quaternion_invariance": float(u_invar),
         "form_traces": float(max(traces)),
         "t0_endo_equivalence": float(equiv),
-    }
-    return TorsionTensors(T0=T0_form, U=U_form, diagnostics=diagnostics)
+    })
+    return TorsionTensors(T0=T0_form, U=U_form, T0_xi=T0_xi,
+                          u_tensor=u_tensor, diagnostics=diagnostics)
 
 
-def torsion_reconstruction_check(conn, torsion, fr=None):
+def torsion_reconstruction_check(conn, torsion):
     """Residual of the torsion reconstruction from the invariant tensors:
     g(T(xi_s, X), Y) = -(T0(I_s X, Y) + T0(X, I_s Y))/4 + U(I_s X, Y)."""
-    frame = fr if fr is not None else conn.frame
-    triple = frame.I
+    triple = conn.frame.I
     worst = 0.0
     for s in range(3):
         lhs = conn.T[s].T
@@ -307,9 +304,6 @@ class ConnectionAtPoint:
     B: np.ndarray              # (3, 4n, 4n) bracket matrices
     C: np.ndarray              # (3, 4n, 4n) vertical connection matrices
     T: np.ndarray              # (3, 4n, 4n) torsion endomorphisms
-    T0: np.ndarray             # T0, b, u_tensor: None when split=False
-    b: np.ndarray
-    u_tensor: np.ndarray
     nabla_xi_h: np.ndarray     # (4n, 3, 3)
     nabla_xi_v: np.ndarray     # (3, 3, 3)
     alpha: np.ndarray          # (3, m)
@@ -323,28 +317,17 @@ class ConnectionAtPoint:
         return np.concatenate([self.gamma, self.C], axis=0)
 
 
-def connection_at_point(chart, u, jet=None, h=None, tol=DEFAULT_TOLERANCES,
-                        split=True):
-    """Assemble the full connection at a point.  ``split=False`` skips the
-    torsion decomposition and leaves T0, b and u_tensor None (used at the
-    displaced points of the curvature differencing)."""
-    if jet is None:
-        jet = FrameJet(chart, u, h=h, tol=tol)
-    frame = jet.frame
+def connection_at_point(jet, tol=DEFAULT_TOLERANCES):
+    """Assemble the full connection at the jet's point.  The torsion
+    endomorphisms T are split by ``torsion_tensors``."""
     brhh = _horizontal_brackets(jet)
     gamma = _koszul(brhh)
     diagnostics = _horizontal_residuals(gamma, brhh)
-    C, T, B, diag_v = vertical_on_H(chart, u, jet=jet, tol=tol)
+    C, T, B, diag_v = vertical_on_H(jet, tol=tol)
     diagnostics.update(diag_v)
-    nabla_xi_h, nabla_xi_v, alpha, diag_x = xi_derivatives(
-        chart, u, jet=jet, C=C, tol=tol)
+    nabla_xi_h, nabla_xi_v, alpha, diag_x = xi_derivatives(jet, C)
     diagnostics.update(diag_x)
-    T0 = b = u_tensor = None
-    if split:
-        T0, b, u_tensor, diag_t = torsion_split(
-            T, frame.I, chart.n, tol=tol, point=frame.point)
-        diagnostics.update(diag_t)
-    return ConnectionAtPoint(frame=frame, jet=jet, gamma=gamma, B=B, C=C,
-                             T=T, T0=T0, b=b, u_tensor=u_tensor,
-                             nabla_xi_h=nabla_xi_h, nabla_xi_v=nabla_xi_v,
-                             alpha=alpha, diagnostics=diagnostics)
+    return ConnectionAtPoint(frame=jet.frame, jet=jet, gamma=gamma, B=B, C=C,
+                             T=T, nabla_xi_h=nabla_xi_h,
+                             nabla_xi_v=nabla_xi_v, alpha=alpha,
+                             diagnostics=diagnostics)

@@ -17,30 +17,35 @@ from .algebra import endo_inner
 from .chart import FrameJet, frame_field
 from .connection import connection_at_point
 from .errors import StepTooSmall
-from .tolerances import DEFAULT_STEPS, DEFAULT_TOLERANCES, Steps
+from .tolerances import DEFAULT_STEPS, DEFAULT_TOLERANCES
 
 
 class FrozenPivotStage:
-    """Frame -> frame jet -> connection (``split=False``) -> Scal at the
-    displaced points of one base point's stencils, with the frame pivots
-    frozen to the base point's.
+    """Frame -> frame jet -> connection -> Scal at one base point and at the
+    displaced points of its stencils, with the frame pivots frozen to the
+    base point's.
 
-    This is the only place that builds them.  Results are memoised by the
-    exact point (its bytes), so a point reached by two stencils is built
-    once and a cache hit returns the floats a recomputation would.  One
-    stage serves one base point's work and is dropped with it.
+    This is the only way into the pipeline.  The base frame is built once
+    with free pivots; its pivot order is frozen for every other point, and
+    it seeds the cache (a frozen-pivot rebuild reproduces it bit for bit),
+    so ``connection(u)`` serves the base point and the displaced points
+    alike.  Results are memoised by the exact point (its bytes), so a point
+    reached by two stencils is built once and a cache hit returns the
+    floats a recomputation would.  One stage serves one base point's work
+    and is dropped with it.
 
     The layer functions are called through their module-global names, never
     through stored references, so wrappers installed on them (profilers,
     tracers) see every call."""
 
-    def __init__(self, chart, pivots, steps=DEFAULT_STEPS,
-                 tol=DEFAULT_TOLERANCES):
+    def __init__(self, chart, u, steps=DEFAULT_STEPS, tol=DEFAULT_TOLERANCES):
         self.chart = chart
-        self.pivots = pivots
+        self.u = np.asarray(u, dtype=float)
         self.steps = steps
         self.tol = tol
-        self._cache = {}
+        frame = frame_field(chart, self.u, tol=tol)
+        self.pivots = frame.pivot_order
+        self._cache = {("frame", self.u.tobytes()): frame}
 
     def _memo(self, kind, p, build):
         p = np.asarray(p, dtype=float)
@@ -54,12 +59,9 @@ class FrozenPivotStage:
             self.chart, p, pivot_order=self.pivots, tol=self.tol))
 
     def connection(self, p):
-        def build(p):
-            jet = FrameJet(self.chart, p, h=self.steps.fd, tol=self.tol,
-                           frame=self.frame(p))
-            return connection_at_point(self.chart, p, jet=jet, tol=self.tol,
-                                       split=False)
-        return self._memo("connection", p, build)
+        return self._memo("connection", p, lambda p: connection_at_point(
+            FrameJet(self.chart, self.frame(p), self.steps.fd, self.tol),
+            self.tol))
 
     def scal(self, p):
         return self._memo("scal", p, lambda p: scal_at(self, p))
@@ -70,11 +72,6 @@ class FrozenPivotStage:
 
 def _tau(chart, scal):
     return scal / (16.0 * chart.n * (chart.n + 2))
-
-
-def _steps(h_curv, h_fd):
-    return Steps(fd=DEFAULT_STEPS.fd if h_fd is None else h_fd,
-                 curv=DEFAULT_STEPS.curv if h_curv is None else h_curv)
 
 
 @dataclass
@@ -104,15 +101,15 @@ def _curvature_slots(stage, u, conn, directions):
     at the stage's displaced points, the coefficient commutator, and the
     structure-function term."""
     jet = conn.jet
-    h_curv = stage.steps.curv
+    h = stage.steps.curv
     Gam0 = conn.stacked_matrices()
     m, fourn = Gam0.shape[0], Gam0.shape[1]
     dGam = {}
     for a in directions:
         v = jet.field_value(a)
-        plus = stage.connection(u + h_curv * v).stacked_matrices()
-        minus = stage.connection(u - h_curv * v).stacked_matrices()
-        dGam[a] = (plus - minus) / (2.0 * h_curv)
+        plus = stage.connection(u + h * v).stacked_matrices()
+        minus = stage.connection(u - h * v).stacked_matrices()
+        dGam[a] = (plus - minus) / (2.0 * h)
 
     R = np.zeros((m, m, fourn, fourn))
     for a in directions:
@@ -128,25 +125,19 @@ def _curvature_slots(stage, u, conn, directions):
     return R
 
 
-def curvature_at_point(chart, u, conn=None, h_curv=None, h_fd=None,
-                       tol=DEFAULT_TOLERANCES, pairs="all", dtau_dirs=None,
-                       stage=None):
-    """Curvature data at a point.
+def curvature_at_point(stage, u, pairs="all", dtau_dirs=None):
+    """Curvature data at a point, with the connection and the displaced
+    points from ``stage`` (its steps and tolerances apply).
 
     ``pairs="horizontal"`` restricts to horizontal index pairs (enough for
     Ric, Scal, tau) and is the cheap path used when differencing tau itself.
     ``dtau_dirs`` selects which Reeb directions tau is differenced along
-    (default: all three when the full slot set is computed).  Displaced
-    points come from ``stage``, whose steps then replace ``h_curv`` and
-    ``h_fd``; without one, a stage is built for this point's pivots.
+    (default: all three when the full slot set is computed).
     """
     u = np.asarray(u, dtype=float)
-    steps = stage.steps if stage is not None else _steps(h_curv, h_fd)
-    if conn is None:
-        conn = connection_at_point(chart, u, h=steps.fd, tol=tol)
-    if stage is None:
-        stage = FrozenPivotStage(chart, conn.frame.pivot_order, steps, tol)
-    h_curv = steps.curv
+    chart = stage.chart
+    conn = stage.connection(u)
+    h = stage.steps.curv
     frame = conn.frame
     fourn = frame.fourn
     m = chart.m
@@ -182,9 +173,9 @@ def curvature_at_point(chart, u, conn=None, h_curv=None, h_fd=None,
         dtau_xi = np.zeros(3)
         for s in dtau_dirs:
             v = frame.xi[:, s]
-            tp = stage.scal(u + h_curv * v)
-            tm = stage.scal(u - h_curv * v)
-            dtau_xi[s] = _tau(chart, (tp - tm) / (2.0 * h_curv))
+            tp = stage.scal(u + h * v)
+            tm = stage.scal(u - h * v)
+            dtau_xi[s] = _tau(chart, (tp - tm) / (2.0 * h))
 
     diagnostics = {"curvature_metricity": float(skew_res)}
     return CurvatureAtPoint(frame=frame, conn=conn, R=R, Ric=Ric, rho=rho,
@@ -196,40 +187,33 @@ def scal_at(stage, u):
     """Scalar curvature at a (displaced) point through the horizontal-pair
     path; used for differencing tau along the Reeb directions.  Callers go
     through ``FrozenPivotStage.scal``, which memoises it."""
-    curv = curvature_at_point(stage.chart, u, conn=stage.connection(u),
-                              tol=stage.tol, pairs="horizontal", stage=stage)
-    return curv.Scal
+    return curvature_at_point(stage, u, pairs="horizontal").Scal
 
 
-def curvature_endo(chart, u, a_index, b_index, h_curv=None, h_fd=None,
-                   tol=DEFAULT_TOLERANCES, conn=None):
-    """Matrix of R(f_a, f_b)|H for a single ordered pair of frame
-    directions."""
-    steps = _steps(h_curv, h_fd)
-    u = np.asarray(u, dtype=float)
-    if conn is None:
-        conn = connection_at_point(chart, u, h=steps.fd, tol=tol, split=False)
+def curvature_endo(stage, a_index, b_index):
+    """Matrix of R(f_a, f_b)|H at the stage's base point for a single
+    ordered pair of frame directions."""
+    conn = stage.connection(stage.u)
     if a_index == b_index:
         return np.zeros_like(conn.gamma[0])
     a, b = sorted((a_index, b_index))
-    stage = FrozenPivotStage(chart, conn.frame.pivot_order, steps, tol)
-    M = _curvature_slots(stage, u, conn, (a, b))[a, b]
+    M = _curvature_slots(stage, stage.u, conn, (a, b))[a, b]
     return M if a_index < b_index else -M
 
 
-def step_diagnostic(chart, u, a_index, b_index, h_curv=None,
+def step_diagnostic(chart, u, a_index, b_index, steps=DEFAULT_STEPS,
                     tol=DEFAULT_TOLERANCES, raise_on_noise=False):
     """Step-halving consistency of the curvature differencing.
 
     Returns (delta_h, delta_half, ratio): the change between steps h and h/2
-    and between h/2 and h/4.  Second-order differencing shrinks the change
-    about fourfold; a ratio collapsing towards (or below) one signals that
-    rounding noise dominates."""
-    if h_curv is None:
-        h_curv = DEFAULT_STEPS.curv
-    r_h = curvature_endo(chart, u, a_index, b_index, h_curv=h_curv, tol=tol)
-    r_h2 = curvature_endo(chart, u, a_index, b_index, h_curv=h_curv / 2, tol=tol)
-    r_h4 = curvature_endo(chart, u, a_index, b_index, h_curv=h_curv / 4, tol=tol)
+    and between h/2 and h/4, with h = ``steps.curv``.  Second-order
+    differencing shrinks the change about fourfold; a ratio collapsing
+    towards (or below) one signals that rounding noise dominates."""
+    r_h, r_h2, r_h4 = (
+        curvature_endo(FrozenPivotStage(
+            chart, u, steps.updated(curv=steps.curv / 2 ** k), tol),
+            a_index, b_index)
+        for k in range(3))
     delta1 = float(np.abs(r_h - r_h2).max())
     delta2 = float(np.abs(r_h2 - r_h4).max())
     ratio = delta1 / delta2 if delta2 > 0 else np.inf
@@ -260,15 +244,9 @@ def vertical_form_identity_residual(alpha_vert, dxx, tau):
     return float(worst)
 
 
-def alpha_identity_check(chart, u, h_curv=None, h_fd=None,
-                         tol=DEFAULT_TOLERANCES, conn=None, curv=None):
+def alpha_identity_check(conn, curv):
     """Evaluate the vertical-form cross-identity at a point (connection alpha
     values against coframe differentials and tau)."""
-    if conn is None:
-        conn = connection_at_point(chart, u, h=h_fd, tol=tol)
-    if curv is None:
-        curv = curvature_at_point(chart, u, conn=conn, h_curv=h_curv,
-                                  h_fd=h_fd, tol=tol, pairs="horizontal")
     frame = conn.frame
     fourn = frame.fourn
     alpha_vert = conn.alpha[:, fourn:]

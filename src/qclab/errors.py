@@ -34,8 +34,17 @@ class DimensionExceeded(ExprError):
         self.offset = offset
 
 
+def _at_point(message, point):
+    return message if point is None else f"{message} at point {list(point)}"
+
+
 class EvalDomainError(QCLabError):
-    """Evaluation left the real domain (log/sqrt of a negative, division by zero...)."""
+    """Evaluation left the real domain (log/sqrt of a negative, division by
+    zero...); carries the point when known."""
+
+    def __init__(self, message, point=None):
+        super().__init__(_at_point(message, point))
+        self.point = None if point is None else list(point)
 
 
 # --- chart / structure recovery ---
@@ -44,9 +53,7 @@ class ChartError(QCLabError):
     """Geometric failure at a point; carries the point and a residual when known."""
 
     def __init__(self, message, point=None, residual=None):
-        detail = message
-        if point is not None:
-            detail += f" at point {list(point)}"
+        detail = _at_point(message, point)
         if residual is not None:
             detail += f" (residual {residual:.3e})"
         super().__init__(detail)

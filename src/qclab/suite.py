@@ -7,10 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import twistor as tw
-from .chart import frame_field
-from .connection import connection_at_point, torsion_reconstruction_check, torsion_tensors
-from .curvature import (alpha_identity_check, curvature_at_point,
-                        ricci_decomposition_residual)
+from .connection import torsion_reconstruction_check, torsion_tensors
+from .curvature import (FrozenPivotStage, alpha_identity_check,
+                        curvature_at_point, ricci_decomposition_residual)
 from .tolerances import DEFAULT_STEPS, DEFAULT_TOLERANCES
 
 
@@ -27,10 +26,8 @@ class CheckResult:
         return cls(name, float(residual), float(tolerance), status)
 
 
-def frame_checks(chart, u, steps=DEFAULT_STEPS, tol=DEFAULT_TOLERANCES,
-                 frame=None):
-    fr = frame if frame is not None else frame_field(chart, u, tol=tol)
-    res = fr.validate(tol)
+def frame_checks(frame, tol=DEFAULT_TOLERANCES):
+    res = frame.validate(tol)
     mapping = {
         "frame-annihilation": (max(res["eta_on_H"], res["duality"]),
                                tol.frame_annihilation),
@@ -43,8 +40,9 @@ def frame_checks(chart, u, steps=DEFAULT_STEPS, tol=DEFAULT_TOLERANCES,
     return [CheckResult.from_value(k, v, t) for k, (v, t) in mapping.items()]
 
 
-def connection_checks(chart, u, conn, tol=DEFAULT_TOLERANCES):
+def connection_checks(conn, torsion, tol=DEFAULT_TOLERANCES):
     d = conn.diagnostics
+    split = torsion.diagnostics
     out = [
         CheckResult.from_value("connection-metricity",
                                max(d["metricity_H"], d["V_metricity"]),
@@ -59,16 +57,17 @@ def connection_checks(chart, u, conn, tol=DEFAULT_TOLERANCES):
                                max(d["torsion_trace"], d["torsion_trace_I"]),
                                tol.connection),
         CheckResult.from_value("torsion-symmetric-structure",
-                               max(d["t0_anticommute"],
-                                   d["t0_cross_relations"]), tol.connection),
+                               max(split["t0_anticommute"],
+                                   split["t0_cross_relations"]),
+                               tol.connection),
         CheckResult.from_value("torsion-skew-structure",
-                               max(d["u_spread"], d["u_symmetry"],
-                                   d["u_trace"], d["u_commute"]),
+                               max(split["u_spread"], split["u_symmetry"],
+                                   split["u_trace"], split["u_commute"]),
                                tol.u_tensor),
     ]
-    if "u_norm_dim7" in d:
+    if "u_norm_dim7" in split:
         out.append(CheckResult.from_value("u-vanishes-dim7",
-                                          d["u_norm_dim7"],
+                                          split["u_norm_dim7"],
                                           tol.u_vanish_dim7))
     return out
 
@@ -89,7 +88,7 @@ def torsion_tensor_checks(torsion, tol=DEFAULT_TOLERANCES):
     ]
 
 
-def curvature_checks(chart, u, conn, curv, torsion, tol=DEFAULT_TOLERANCES):
+def curvature_checks(conn, curv, torsion, tol=DEFAULT_TOLERANCES):
     ric_sym = float(np.abs(curv.Ric - curv.Ric.T).max())
     return [
         CheckResult.from_value("curvature-metricity",
@@ -102,7 +101,7 @@ def curvature_checks(chart, u, conn, curv, torsion, tol=DEFAULT_TOLERANCES):
             tol.ricci_decomposition),
         CheckResult.from_value(
             "vertical-connection-forms",
-            alpha_identity_check(chart, u, conn=conn, curv=curv, tol=tol),
+            alpha_identity_check(conn, curv),
             tol.vertical_forms),
         CheckResult.from_value(
             "torsion-reconstruction", torsion_reconstruction_check(conn, torsion),
@@ -178,11 +177,10 @@ def identity_suite(chart, u, x, steps=DEFAULT_STEPS, tol=DEFAULT_TOLERANCES,
     Returns a list of CheckResult."""
     u = np.asarray(u, dtype=float)
     base = tw.base_point_data(chart, u, steps=steps, tol=tol)
-    checks = frame_checks(chart, u, steps, tol, frame=base.frame)
-    checks += connection_checks(chart, u, base.conn, tol)
+    checks = frame_checks(base.frame, tol)
+    checks += connection_checks(base.conn, base.torsion, tol)
     checks += torsion_tensor_checks(base.torsion, tol)
-    checks += curvature_checks(chart, u, base.conn, base.curv, base.torsion,
-                               tol)
+    checks += curvature_checks(base.conn, base.curv, base.torsion, tol)
 
     ctx = tw.TwistorContext(chart=chart, tp=tw.TwistorPoint(u, x),
                             frame=base.frame, tau=base.tau)
@@ -206,10 +204,10 @@ def identity_suite(chart, u, x, steps=DEFAULT_STEPS, tol=DEFAULT_TOLERANCES,
 def invariants_row(chart, u, steps=DEFAULT_STEPS, tol=DEFAULT_TOLERANCES):
     """One report row: torsion invariants, scalar curvature, tau, and the
     Ricci-decomposition residual at a point."""
-    conn = connection_at_point(chart, u, h=steps.fd, tol=tol)
-    torsion = torsion_tensors(conn)
-    curv = curvature_at_point(chart, u, conn=conn, h_curv=steps.curv,
-                              h_fd=steps.fd, tol=tol, pairs="horizontal")
+    stage = FrozenPivotStage(chart, u, steps, tol)
+    conn = stage.connection(stage.u)
+    torsion = torsion_tensors(conn, tol)
+    curv = curvature_at_point(stage, stage.u, pairs="horizontal")
     return {
         "t0_norm": torsion.t0_norm,
         "u_norm": torsion.u_norm,

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import v_cross
-from .chart import PointFrame, frame_field
-from .connection import connection_at_point, torsion_tensors
+from .chart import PointFrame
+from .connection import torsion_tensors
 from .curvature import FrozenPivotStage, curvature_at_point
 from .tolerances import DEFAULT_STEPS, DEFAULT_TOLERANCES
 
@@ -140,14 +140,11 @@ class TwistorContext:
         return TwistorTangent(np.zeros(self.fourn), self.x.copy(), np.zeros(3))
 
 
-def twistor_context(chart, u, x, tau=None, frame=None,
-                    steps=DEFAULT_STEPS, tol=DEFAULT_TOLERANCES):
+def twistor_context(chart, u, x, steps=DEFAULT_STEPS, tol=DEFAULT_TOLERANCES):
     tp = TwistorPoint(np.asarray(u, dtype=float), np.asarray(x, dtype=float))
-    if frame is None:
-        frame = frame_field(chart, tp.u, tol=tol)
-    if tau is None:
-        tau = FrozenPivotStage(chart, frame.pivot_order, steps, tol).tau(tp.u)
-    return TwistorContext(chart=chart, tp=tp, frame=frame, tau=tau)
+    stage = FrozenPivotStage(chart, tp.u, steps, tol)
+    return TwistorContext(chart=chart, tp=tp, frame=stage.frame(tp.u),
+                          tau=stage.tau(tp.u))
 
 
 def eta_Z(ctx, t):
@@ -292,14 +289,14 @@ def lie_chi_G(chart, u, x, steps=DEFAULT_STEPS, tol=DEFAULT_TOLERANCES):
     connection, curvature and tau-derivative are recomputed in that gauge."""
     tp = TwistorPoint(u, x)
     rot = rotation_from_x(tp.x)
-    chart_rot = chart.rotated(rot)
-    conn = connection_at_point(chart_rot, tp.u, h=steps.fd, tol=tol)
-    curv = curvature_at_point(chart_rot, tp.u, conn=conn, h_curv=steps.curv,
-                              h_fd=steps.fd, tol=tol, dtau_dirs=(0,))
+    stage = FrozenPivotStage(chart.rotated(rot), tp.u, steps, tol)
+    conn = stage.connection(tp.u)
+    tors = torsion_tensors(conn, tol)
+    curv = curvature_at_point(stage, tp.u, dtau_dirs=(0,))
     fourn = conn.frame.fourn
     jet = conn.jet
 
-    hh = 2.0 * conn.T0[0]
+    hh = 2.0 * tors.T0_xi[0]
     hv = np.empty((2, fourn))
     for row, s in enumerate((1, 2)):
         bracket = jet.bracket(fourn + s, fourn + 0)
@@ -312,8 +309,7 @@ def lie_chi_G(chart, u, x, steps=DEFAULT_STEPS, tol=DEFAULT_TOLERANCES):
             vv[i, j] = -dtau1 * (1.0 if s == t else 0.0) \
                 + curv.rho[s, fourn + t, fourn] + curv.rho[t, fourn + s, fourn]
 
-    t0_norm = torsion_tensors(conn).t0_norm
-    return _report_from_slots(tp.u, tp.x, hh, hv, vv, t0_norm,
+    return _report_from_slots(tp.u, tp.x, hh, hv, vv, tors.t0_norm,
                               curv.tau, dtau1, "rotated-pipeline", tol)
 
 
@@ -335,9 +331,10 @@ class BasePointData:
 
 
 def base_point_data(chart, u, steps=DEFAULT_STEPS, tol=DEFAULT_TOLERANCES):
-    conn = connection_at_point(chart, u, h=steps.fd, tol=tol)
-    curv = curvature_at_point(chart, u, conn=conn, h_curv=steps.curv,
-                              h_fd=steps.fd, tol=tol)
+    stage = FrozenPivotStage(chart, u, steps, tol)
+    conn = stage.connection(stage.u)
+    tors = torsion_tensors(conn, tol)
+    curv = curvature_at_point(stage, stage.u)
     fourn = conn.frame.fourn
     br = np.zeros((3, 3, fourn))
     for q in range(3):
@@ -346,7 +343,6 @@ def base_point_data(chart, u, steps=DEFAULT_STEPS, tol=DEFAULT_TOLERANCES):
                 continue
             br[q, r] = conn.frame.h_components(
                 conn.jet.bracket(fourn + q, fourn + r))
-    tors = torsion_tensors(conn)
     return BasePointData(chart=chart, frame=conn.frame, conn=conn,
                          torsion=tors, curv=curv, bracket_vv_h=br)
 
@@ -356,11 +352,10 @@ def report_from_base(data, x, tol=DEFAULT_TOLERANCES):
     report (independent of the rotated-chart pipeline)."""
     x = np.asarray(x, dtype=float)
     rot = rotation_from_x(x)
-    conn = data.conn
     curv = data.curv
     fourn = data.frame.fourn
 
-    hh = 2.0 * np.einsum("s,sab->ab", x, conn.T0)
+    hh = 2.0 * np.einsum("s,sab->ab", x, data.torsion.T0_xi)
 
     rho_hv = curv.rho[:, :fourn, fourn:]       # (3, 4n, 3)
     rho_vv = curv.rho[:, fourn:, fourn:]       # (3, 3, 3)
@@ -389,15 +384,14 @@ class _BundleCalculus:
     """Local realization of the sphere bundle with coordinates (u, x) in
     R^{m+3}: horizontal lifts through the quaternion-bundle connection form,
     vertical fields, the contact form and metric as functions, and
-    finite-difference brackets.  Frames, connections and tau at displaced
-    base points come from a frozen-pivot stage of its own."""
+    finite-difference brackets.  Frames, connections and tau at the center
+    and at displaced base points come from a frozen-pivot stage of its own."""
 
     def __init__(self, chart, tp, steps=DEFAULT_STEPS, tol=DEFAULT_TOLERANCES):
         self.chart = chart
         self.tp = tp
-        center = frame_field(chart, tp.u, tol=tol)
-        self.fourn = center.fourn
-        self.stage = FrozenPivotStage(chart, center.pivot_order, steps, tol)
+        self.stage = FrozenPivotStage(chart, tp.u, steps, tol)
+        self.fourn = self.stage.frame(tp.u).fourn
         self.z0 = np.concatenate([tp.u, tp.x])
 
     @property

@@ -13,12 +13,13 @@ import pytest
 
 from qclab import twistor as tw
 from qclab.algebra import (QuaternionTriple, endo_inner, four_part_decompose,
-                           four_part_max_residual, project_P, project_sp1,
+                           four_part_max_residual, project_P,
                            project_torsion_space, sp1_component,
                            standard_triple)
 from qclab.catalog import conformal, heisenberg
-from qclab.connection import connection_at_point, torsion_reconstruction_check, torsion_tensors
-from qclab.curvature import curvature_at_point, ricci_decomposition_residual
+from qclab.connection import torsion_reconstruction_check, torsion_tensors
+from qclab.curvature import (FrozenPivotStage, curvature_at_point,
+                             ricci_decomposition_residual)
 
 SEED = 2026
 N_POINTS = 20
@@ -86,9 +87,10 @@ def h2_invariant_data(h2):
     def build():
         rows = []
         for u in h2.sample_points(N_POINTS, SEED):
-            conn = connection_at_point(h2, u)
+            stage = FrozenPivotStage(h2, u)
+            conn = stage.connection(u)
             tors = torsion_tensors(conn)
-            curv = curvature_at_point(h2, u, conn=conn, pairs="horizontal")
+            curv = curvature_at_point(stage, u, pairs="horizontal")
             rows.append((conn, tors, curv))
         return rows
     return _timed("h2-invariants", build)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qclab.algebra import (FOUR_PART_SIGNS, QuaternionTriple, endo_inner,
-                           endo_norm, four_part_decompose,
+from qclab.algebra import (QuaternionTriple, endo_inner, four_part_decompose,
                            four_part_max_residual, project_P, project_sp1,
                            project_torsion_space, sp1_component,
                            standard_triple, torsion_skew_basis, v_cross)

@@ -3,16 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from qclab import exprlang
 from qclab.algebra import standard_triple
-from qclab.catalog import (ChartConfig, _heisenberg_coeff_strings,
-                           builtin_charts, config_from_chart, conformal,
-                           get_chart, heisenberg, load_config, save_config,
-                           validate_chart)
-from qclab.chart import frame_field, FrameJet
-from qclab.connection import connection_at_point, torsion_tensors
-from qclab.errors import (BiquardConditionFail, ChartError, ConfigError,
-                          NonPositiveFactor)
+from qclab.catalog import (_heisenberg_coeff_strings, builtin_charts,
+                           config_from_chart, conformal, get_chart, heisenberg,
+                           load_config, save_config, validate_chart)
+from qclab.chart import FrameJet, frame_field
+from qclab.connection import torsion_tensors
+from qclab.curvature import FrozenPivotStage
+from qclab.errors import BiquardConditionFail, ConfigError, NonPositiveFactor
 
 FROZEN_H1_ETA1 = ["-u2", "u1", "-u4", "u3", "1/2", "0", "0"]
 FROZEN_H1_ETA2 = ["-u3", "u4", "u1", "-u2", "0", "1/2", "0"]
@@ -38,7 +36,7 @@ def test_heisenberg_left_invariant_brackets():
     J = standard_triple(1)
     rng = np.random.default_rng(4)
     u = rng.uniform(-1, 1, 7)
-    jet = FrameJet(ch, u)
+    jet = FrameJet(ch, frame_field(ch, u))
     fr = jet.frame
     for a in range(4):
         for b in range(4):
@@ -56,7 +54,7 @@ def test_heisenberg_left_invariant_brackets():
 def test_heisenberg_zero_torsion_and_scal():
     ch = heisenberg(1)
     for u in ch.sample_points(3, seed=5):
-        conn = connection_at_point(ch, u)
+        conn = FrozenPivotStage(ch, u).connection(u)
         tors = torsion_tensors(conn)
         assert tors.t0_norm <= 1e-6
         assert tors.u_norm <= 1e-6
@@ -71,7 +69,7 @@ def test_conformal_constant_factor_keeps_flatness():
     # rescaling by a constant is a homothety: torsion stays zero
     ch = conformal(heisenberg(1), "2")
     for u in ch.sample_points(2, seed=6):
-        conn = connection_at_point(ch, u)
+        conn = FrozenPivotStage(ch, u).connection(u)
         tors = torsion_tensors(conn)
         assert tors.t0_norm <= 1e-6
         assert tors.u_norm <= 1e-6
@@ -81,7 +79,7 @@ def test_conformal_nonconstant_factor_generates_torsion():
     ch = conformal(heisenberg(1), "exp(0.2*u1)")
     count = 0
     for u in ch.sample_points(8, seed=7):
-        conn = connection_at_point(ch, u)
+        conn = FrozenPivotStage(ch, u).connection(u)
         if torsion_tensors(conn).t0_norm > 1e-4:
             count += 1
     assert count >= 7
@@ -96,7 +94,7 @@ def test_conformal_continuity_towards_identity():
     norms = []
     for eps in (1e-2, 1e-3):
         ch = conformal(base, f"1 + {eps}*u1")
-        conn = connection_at_point(ch, u)
+        conn = FrozenPivotStage(ch, u).connection(u)
         norms.append(torsion_tensors(conn).t0_norm)
     assert norms[1] < norms[0]
     assert norms[1] <= 0.05 * norms[0]

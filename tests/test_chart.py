@@ -222,7 +222,7 @@ def test_lie_bracket_coordinate_example(h1):
 def test_cartan_formula_links_brackets_to_differential(h1_deformed):
     rng = np.random.default_rng(8)
     u = rng.uniform(-1, 1, 7)
-    jet = FrameJet(h1_deformed, u)
+    jet = FrameJet(h1_deformed, frame_field(h1_deformed, u))
     fr = jet.frame
     worst = 0.0
     for a in range(4):

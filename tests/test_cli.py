@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from qclab import cli
+from qclab.catalog import _heisenberg_coeff_strings
 from tests.test_catalog import bad_config_text
 
 
@@ -177,3 +178,31 @@ def test_tolerance_flag_changes_report():
     assert code == 0
     data = json.loads(out)
     assert data["tolerances"]["normal"] == 1e-2
+
+
+@pytest.mark.parametrize("command,fiber", [
+    ("normality", "0"), ("normality --oracle", "0"), ("identities", "0"),
+    ("sweep", "-2")])
+def test_nonpositive_fiber_is_usage_error(command, fiber, capsys):
+    # no fibre points means no rows, so no verdict may be given
+    code, out = run_cli(*command.split(), "--chart", "heisenberg-1-conformal",
+                        "--points", "0.1,0,0,0,0,0,0", "--fiber", fiber)
+    assert code == 2
+    assert out == ""
+    assert "--fiber must be positive" in capsys.readouterr().err
+
+
+def test_domain_error_names_the_point(tmp_path, capsys):
+    lines = ["[chart]", "version = 1", "name = log-factor", "n = 1",
+             "coords = " + ", ".join(f"u{i + 1}" for i in range(7)),
+             "factor = log(2+u1)", "", "[eta]"]
+    for s, row in enumerate(_heisenberg_coeff_strings(1)):
+        lines.append(f"eta{s + 1} = " + ", ".join(row))
+    path = tmp_path / "log.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    code, out = run_cli("invariants", "--config", str(path), "--no-validate",
+                        "--points=-2.5,0.1,0,0,0,0,0")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "log of a non-positive value" in err
+    assert "-2.5" in err

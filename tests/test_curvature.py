@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from qclab.catalog import conformal, heisenberg
-from qclab.connection import connection_at_point, torsion_tensors
-from qclab.curvature import (alpha_identity_check, curvature_at_point,
-                             curvature_endo, ricci_decomposition_residual,
-                             step_diagnostic, vertical_form_identity_residual)
+from qclab.connection import torsion_tensors
+from qclab.curvature import (FrozenPivotStage, alpha_identity_check,
+                             curvature_at_point, curvature_endo,
+                             ricci_decomposition_residual, step_diagnostic,
+                             vertical_form_identity_residual)
+from qclab.tolerances import Steps
 
 RNG = np.random.default_rng(31)
 POINT = RNG.uniform(-1, 1, 7)
@@ -13,7 +15,7 @@ POINT = RNG.uniform(-1, 1, 7)
 
 @pytest.fixture(scope="module")
 def flat_curv():
-    return curvature_at_point(heisenberg(1), POINT)
+    return curvature_at_point(FrozenPivotStage(heisenberg(1), POINT), POINT)
 
 
 @pytest.fixture(scope="module")
@@ -23,8 +25,9 @@ def deformed_chart():
 
 @pytest.fixture(scope="module")
 def deformed_data(deformed_chart):
-    conn = connection_at_point(deformed_chart, POINT)
-    curv = curvature_at_point(deformed_chart, POINT, conn=conn)
+    stage = FrozenPivotStage(deformed_chart, POINT)
+    conn = stage.connection(POINT)
+    curv = curvature_at_point(stage, POINT)
     return conn, curv
 
 
@@ -44,10 +47,11 @@ def test_curvature_antisymmetry_and_metricity(deformed_data):
 
 
 def test_single_pair_matches_full_computation(deformed_chart, deformed_data):
-    conn, curv = deformed_data
-    M = curvature_endo(deformed_chart, POINT, 1, 5, conn=conn)
+    _, curv = deformed_data
+    stage = FrozenPivotStage(deformed_chart, POINT)
+    M = curvature_endo(stage, 1, 5)
     assert np.abs(M - curv.R[1, 5]).max() <= 1e-9
-    M2 = curvature_endo(deformed_chart, POINT, 5, 1, conn=conn)
+    M2 = curvature_endo(stage, 5, 1)
     assert np.abs(M2 + M).max() <= 1e-12
 
 
@@ -71,22 +75,21 @@ def test_step_halving_consistency(deformed_chart):
     # in the truncation-dominated regime the h -> h/2 change shrinks about
     # 4x (second-order differencing)
     delta1, delta2, ratio = step_diagnostic(deformed_chart, POINT, 0, 1,
-                                            h_curv=0.05)
+                                            steps=Steps(curv=0.05))
     assert 3.0 <= ratio <= 5.5
 
 
 def test_step_diagnostic_flags_noise_domination(deformed_chart):
     from qclab.errors import StepTooSmall
     with pytest.raises(StepTooSmall):
-        step_diagnostic(deformed_chart, POINT, 0, 1, h_curv=4e-3,
+        step_diagnostic(deformed_chart, POINT, 0, 1, steps=Steps(curv=4e-3),
                         raise_on_noise=True)
 
 
-def test_alpha_identity_both_charts(deformed_chart, deformed_data):
-    assert alpha_identity_check(heisenberg(1), POINT) <= 1e-5
+def test_alpha_identity_both_charts(flat_curv, deformed_data):
+    assert alpha_identity_check(flat_curv.conn, flat_curv) <= 1e-5
     conn, curv = deformed_data
-    assert alpha_identity_check(deformed_chart, POINT, conn=conn,
-                                curv=curv) <= 1e-5
+    assert alpha_identity_check(conn, curv) <= 1e-5
 
 
 def test_alpha_identity_detects_injected_fault(deformed_data):
@@ -103,9 +106,10 @@ def test_alpha_identity_detects_injected_fault(deformed_data):
 
 def test_homothety_preserves_flatness():
     chart = conformal(heisenberg(1), "2")
-    conn = connection_at_point(chart, POINT)
+    stage = FrozenPivotStage(chart, POINT)
+    conn = stage.connection(POINT)
     tors = torsion_tensors(conn)
-    curv = curvature_at_point(chart, POINT, conn=conn, pairs="horizontal")
+    curv = curvature_at_point(stage, POINT, pairs="horizontal")
     assert tors.t0_norm <= 1e-6
     assert tors.u_norm <= 1e-6
     assert abs(curv.Scal) <= 1e-6

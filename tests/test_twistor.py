@@ -222,8 +222,7 @@ def test_two_report_paths_agree(deformed, deformed_report, deformed_base):
 def test_hh_slot_is_twice_symmetric_torsion(deformed_report, deformed_base):
     # the closed-form slot equals 2 g(T0_{xi'_1} X, Y) with the torsion from
     # the connection stage, rotated algebraically: two code paths
-    conn = deformed_base.conn
-    expected = 2.0 * np.einsum("s,sab->ab", FIBRE, conn.T0)
+    expected = 2.0 * np.einsum("s,sab->ab", FIBRE, deformed_base.torsion.T0_xi)
     assert np.abs(deformed_report.hh - expected).max() <= 1e-5
 
 
