@@ -33,7 +33,7 @@ def endo_inner(A, B):
     A = _check_square(A)
     B = _check_square(B)
     _check_same_size(A, B)
-    return float(np.tensordot(A, B, axes=2)) / A.shape[0]
+    return float(np.vdot(A, B)) / A.shape[0]
 
 
 def endo_norm(A):
@@ -197,6 +197,8 @@ def torsion_skew_basis(triple):
     """Orthonormal (trace inner product) basis of the skew part of the
     torsion space.  Empty for n = 1, where so(4) = sp(1) + P exactly."""
     dim = triple.dim
+    if dim == 4:
+        return []
     basis = []
     for i in range(dim):
         for j in range(i + 1, dim):

@@ -81,7 +81,8 @@ def conformal(base, mu, check_points=20, seed=0):
     for point in base.sample_points(check_points, seed):
         if exprlang.evaluate(mu, point) <= 0.0:
             raise NonPositiveFactor(
-                f"conformal factor is not positive at {list(point)}")
+                f"conformal factor is not positive at "
+                f"{[float(c) for c in point]}")
     coeffs = tuple(
         tuple(exprlang.Mul(mu, c) for c in row) for row in base.coeffs)
     return QCChart(n=base.n, coeffs=coeffs, domain_box=base.domain_box,

@@ -16,15 +16,15 @@ d eta(X, Y) = X eta(Y) - Y eta(X) - eta([X, Y]), so in coordinates
 (d eta_s)_{rq} = d_r c_{s,q} - d_q c_{s,r}.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import exprlang
 from .algebra import QuaternionTriple
-from .errors import (BiquardConditionFail, DegenerateCoframe, DegenerateLevi,
-                     EvalDomainError, IllConditioned, NotPositive,
-                     NotQuaternionic)
+from .errors import (BiquardConditionFail, ChartError, DegenerateCoframe,
+                     DegenerateLevi, EvalDomainError, IllConditioned,
+                     NotPositive, NotQuaternionic)
 from .tolerances import DEFAULT_STEPS, DEFAULT_TOLERANCES
 
 # GS pivots: relative tie snap for seed norms, and drop threshold for
@@ -36,12 +36,15 @@ _PIVOT_DROP = 1e-8
 @dataclass(frozen=True)
 class QCChart:
     """Immutable chart: quaternionic dimension n, coordinates u1..um with
-    m = 4n+3, and the 3 x m coefficient expressions of the coframe."""
+    m = 4n+3, and the 3 x m coefficient expressions of the coframe, compiled
+    once into one ``exprlang.Tape``."""
 
     n: int
     coeffs: tuple          # 3 tuples of m exprlang.Expr
     domain_box: tuple = None   # optional m pairs (lo, hi)
     name: str = ""
+
+    tape: exprlang.Tape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.m
@@ -49,41 +52,31 @@ class QCChart:
             raise ValueError(f"coefficient array must be 3 x {m}")
         if self.domain_box is not None and len(self.domain_box) != m:
             raise ValueError(f"domain box must have {m} entries")
+        object.__setattr__(self, "tape", exprlang.Tape(
+            [c for row in self.coeffs for c in row], m))
 
     @property
     def m(self):
         return 4 * self.n + 3
 
     def eval_coframe(self, u):
-        """Component matrix of the coframe at u: shape (3, m).  A domain
-        error names the point."""
+        """Component matrix of the coframe: shape (3, m) at a point, or
+        (P, 3, m) at a (P, m) stack of points.  A domain error names the
+        first failing point."""
         u = np.asarray(u, dtype=float)
-        out = np.empty((3, self.m))
-        try:
-            for s in range(3):
-                for r in range(self.m):
-                    out[s, r] = self.coeffs[s][r].eval(u)
-        except EvalDomainError as exc:
-            raise EvalDomainError(str(exc), point=u) from exc
-        return out
+        values = self.tape.values(u.reshape(-1, self.m))
+        return values.reshape(u.shape[:-1] + (3, self.m))
 
     def eval_dcoframe(self, u):
-        """Exterior derivatives as three m x m skew matrices (exact forward-
-        mode derivatives of the coefficients; skew by construction).  A
-        domain error names the point."""
+        """Exterior derivatives as three m x m skew matrices, (3, m, m) at a
+        point or (P, 3, m, m) at a stack (exact derivatives of the
+        coefficients; skew by construction).  A domain error names the
+        first failing point."""
         u = np.asarray(u, dtype=float)
         m = self.m
-        duals = exprlang.make_duals(u)
-        out = np.empty((3, m, m))
-        try:
-            for s in range(3):
-                P = np.empty((m, m))
-                for q in range(m):
-                    P[:, q] = self.coeffs[s][q].eval_dual(duals).partials
-                out[s] = P - P.T
-        except EvalDomainError as exc:
-            raise EvalDomainError(str(exc), point=u) from exc
-        return out
+        _, grads = self.tape.values_and_grads(u.reshape(-1, m))
+        G = grads.reshape(-1, 3, m, m)   # G[p, s, q, r] = d_r c_{s,q}
+        return (G.transpose(0, 1, 3, 2) - G).reshape(u.shape[:-1] + (3, m, m))
 
     def rotated(self, rot):
         """Chart with the coframe triple replaced by a constant SO(3)
@@ -122,11 +115,44 @@ class QCChart:
         return lo + (hi - lo) * rng.random((count, self.m))
 
 
+def _swap(a):
+    return np.swapaxes(a, -1, -2)
+
+
+def _row_max(a):
+    return np.abs(a).reshape(a.shape[0], -1).max(axis=1)
+
+
+def _raise_first(points, *checks):
+    """Raise for the first point of a stack failing any check; at that point
+    the first failing check in the order given wins.  A check is (failure
+    mask, error class, message, per-point residual or None)."""
+    failing = np.logical_or.reduce([fail for fail, *_ in checks])
+    rows = np.flatnonzero(failing)
+    if not rows.size:
+        return
+    k = rows[0]
+    for fail, error, message, residual in checks:
+        if fail[k]:
+            raise error(message, point=points[k],
+                        residual=None if residual is None else float(residual[k]))
+
+
+def _shaped(result, u):
+    """A stacked result as given for a (P, m) stack, its only row for a
+    point."""
+    if u.ndim > 1:
+        return result
+    return replace(result, **{f.name: getattr(result, f.name)[0]
+                              for f in fields(result)})
+
+
 @dataclass
 class Structure:
-    """Recovered data on H at a point: null-space basis of the coframe
-    (columns of ``hbasis``), the restricted two-forms, the quaternion triple
-    and the metric, all expressed in that basis."""
+    """Recovered data on H: null-space basis of the coframe (columns of
+    ``hbasis``), the restricted two-forms, the quaternion triple and the
+    metric, all expressed in that basis.  At a stack of points every field
+    carries a leading point axis."""
 
     coframe: np.ndarray        # (3, m)
     dcoframe: np.ndarray       # (3, m, m)
@@ -137,76 +163,79 @@ class Structure:
     residual: float
 
     def h_metric(self, v, w):
-        """g on H for coordinate vectors lying in the kernel of the coframe."""
+        """g on H for coordinate vectors lying in the kernel of the coframe
+        (at a single point)."""
         yv = self.hbasis.T @ v
         yw = self.hbasis.T @ w
         return float(yv @ self.gram @ yw)
 
 
 def recover_structure(chart, u, tol=DEFAULT_TOLERANCES):
-    """Recover (H, g, I) at a point from the coframe and its differential.
+    """Recover (H, g, I) at a point, or at each point of a (P, m) stack, from
+    the coframe and its differential.
 
     H is the null space of the 3 x m coframe matrix; the quaternion triple is
     rebuilt from the restricted two-forms omega_s = (1/2) d eta_s by
     I3 = omega2^{-1} omega1, I1 = omega3^{-1} omega2, I2 = omega1^{-1} omega3,
     and the metric by g = -omega1(I1 ., .).  Everything is validated before
-    returning.
+    returning; a failed check raises for the first failing point.
     """
     u = np.asarray(u, dtype=float)
-    C = chart.eval_coframe(u)
-    D = chart.eval_dcoframe(u)
+    U = u.reshape(-1, chart.m)
+    C = chart.eval_coframe(U)
+    D = chart.eval_dcoframe(U)
 
     # rank-revealing null space
     _, sv, Vt = np.linalg.svd(C)
-    if sv[2] <= 1e-12 * max(sv[0], 1.0):
-        raise DegenerateCoframe("coframe matrix has rank < 3", point=u,
-                                residual=float(sv[2]))
-    N = Vt[3:].T  # (m, 4n)
+    _raise_first(U, (sv[:, 2] <= 1e-12 * np.maximum(sv[:, 0], 1.0),
+                     DegenerateCoframe, "coframe matrix has rank < 3",
+                     sv[:, 2]))
+    N = _swap(Vt[:, 3:])  # (P, m, 4n)
 
-    W = 0.5 * np.einsum("ri,srq,qj->sij", N, D, N)
+    W = 0.5 * (_swap(N)[:, None] @ D @ N[:, None])
 
-    conds = [np.linalg.cond(W[s]) for s in range(3)]
-    if max(conds) > 1e12:
-        raise DegenerateLevi("restricted two-form is numerically singular",
-                             point=u, residual=float(max(conds)))
+    conds = np.linalg.cond(W).max(axis=1)
+    _raise_first(U, (conds > 1e12, DegenerateLevi,
+                     "restricted two-form is numerically singular", conds))
 
     A = np.empty_like(W)
-    A[2] = np.linalg.solve(W[1], W[0])
-    A[0] = np.linalg.solve(W[2], W[1])
-    A[1] = np.linalg.solve(W[0], W[2])
+    A[:, 2] = np.linalg.solve(W[:, 1], W[:, 0])
+    A[:, 0] = np.linalg.solve(W[:, 2], W[:, 1])
+    A[:, 1] = np.linalg.solve(W[:, 0], W[:, 2])
 
-    G = -A[0].T @ W[0]
-    G = 0.5 * (G + G.T)
+    G = -_swap(A[:, 0]) @ W[:, 0]
+    G = 0.5 * (G + _swap(G))
 
     # validation: quaternion relations w.r.t. the recovered metric,
     # positivity, and the defining compatibility d eta_s = 2 g(I_s ., .)
-    eye = np.eye(G.shape[0])
-    residuals = [
-        np.abs(A[0] @ A[0] + eye).max(),
-        np.abs(A[1] @ A[1] + eye).max(),
-        np.abs(A[2] @ A[2] + eye).max(),
-        np.abs(A[0] @ A[1] - A[2]).max(),
-        np.abs(A[1] @ A[0] + A[2]).max(),
-    ]
-    residuals += [np.abs(G @ A[s] + A[s].T @ G).max() for s in range(3)]
-    residuals += [np.abs(W[s] - A[s].T @ G).max() for s in range(3)]
-    residual = float(max(residuals))
-    if residual > tol.recovery:
-        raise NotQuaternionic(
-            "restricted two-forms do not define a quaternion triple",
-            point=u, residual=residual)
+    eye = np.eye(G.shape[-1])
+    At = _swap(A)
+    residual = np.max([
+        _row_max(A[:, 0] @ A[:, 0] + eye),
+        _row_max(A[:, 1] @ A[:, 1] + eye),
+        _row_max(A[:, 2] @ A[:, 2] + eye),
+        _row_max(A[:, 0] @ A[:, 1] - A[:, 2]),
+        _row_max(A[:, 1] @ A[:, 0] + A[:, 2]),
+        _row_max(G[:, None] @ A + At @ G[:, None]),
+        _row_max(W - At @ G[:, None]),
+    ], axis=0)
+    _raise_first(U, (residual > tol.recovery, NotQuaternionic,
+                     "restricted two-forms do not define a quaternion triple",
+                     residual))
 
-    eigvals = np.linalg.eigvalsh(G)
-    if eigvals[0] <= 0.0:
-        raise NotPositive("recovered metric is not positive definite",
-                          point=u, residual=float(eigvals[0]))
+    lowest = np.linalg.eigvalsh(G)[:, 0]
+    _raise_first(U, (lowest <= 0.0, NotPositive,
+                     "recovered metric is not positive definite", lowest))
 
-    return Structure(coframe=C, dcoframe=D, hbasis=N, omega=W,
-                     imatrices=A, gram=G, residual=residual)
+    return _shaped(Structure(coframe=C, dcoframe=D, hbasis=N, omega=W,
+                             imatrices=A, gram=G, residual=residual), u)
 
 
 @dataclass
 class ReebResult:
+    """Reeb fields and the certificate of their compatibility system; at a
+    stack of points every field carries a leading point axis."""
+
     xi: np.ndarray          # (m, 3) columns xi_1, xi_2, xi_3
     residual: float         # max-abs residual of the compatibility system
     min_singular: float     # smallest singular value of the constraint matrix
@@ -214,52 +243,61 @@ class ReebResult:
 
 
 def reeb_solve(chart, u, structure, tol=DEFAULT_TOLERANCES):
-    """Solve for the Reeb fields: xi_s = xi0_s + h_s with eta_t(xi0_s) =
-    delta_ts and h_s horizontal, subject to
-    d eta_t(xi_s, X) + d eta_s(xi_t, X) = 0 for all s <= t and X in H.
+    """Solve for the Reeb fields at a point, or at each point of a stack
+    (``structure`` from ``recover_structure`` at the same ``u``):
+    xi_s = xi0_s + h_s with eta_t(xi0_s) = delta_ts and h_s horizontal,
+    subject to d eta_t(xi_s, X) + d eta_s(xi_t, X) = 0 for all s <= t and
+    X in H.
 
-    The system is linear least squares in the 12n horizontal unknowns; its
-    residual certifies the compatibility condition at the point.
+    The system is linear least squares in the 12n horizontal unknowns,
+    solved through the SVD; its residual certifies the compatibility
+    condition at the point.
     """
     u = np.asarray(u, dtype=float)
-    C = structure.coframe
-    D = structure.dcoframe
-    N = structure.hbasis
-    fourn = N.shape[1]
+    U = u.reshape(-1, chart.m)
+    count, m = U.shape
+    C = structure.coframe.reshape(count, 3, m)
+    D = structure.dcoframe.reshape(count, 3, m, m)
+    N = structure.hbasis.reshape(count, m, -1)
+    fourn = N.shape[2]
 
-    xi0 = np.linalg.pinv(C)  # (m, 3): minimal-norm duals
+    xi0 = np.linalg.pinv(C)  # (P, m, 3): minimal-norm duals
 
-    # block matrices M_t = N^T D_t^T N and offsets per (s, t) pair
-    M = np.einsum("ri,trq,qj->tij", N, np.transpose(D, (0, 2, 1)), N)
+    # blocks M_t = N^T D_t^T N = -2 omega_t (D_t is skew), and
+    # N^T D_t^T xi0 for the offsets
+    M = -2.0 * structure.omega.reshape(count, 3, fourn, fourn)
+    offsets = _swap(N)[:, None] @ _swap(D) @ xi0[:, None]   # [p, t, :, s]
 
     pairs = [(s, t) for s in range(3) for t in range(s, 3)]
-    rows = []
-    rhs = []
-    for (s, t) in pairs:
-        block = np.zeros((fourn, 3 * fourn))
-        block[:, s * fourn:(s + 1) * fourn] += M[t]
-        block[:, t * fourn:(t + 1) * fourn] += M[s]
-        rows.append(block)
-        rhs.append(-(N.T @ D[t].T @ xi0[:, s] + N.T @ D[s].T @ xi0[:, t]))
-    big = np.vstack(rows)
-    b = np.concatenate(rhs)
+    big = np.zeros((count, len(pairs) * fourn, 3 * fourn))
+    b = np.empty((count, len(pairs) * fourn))
+    for row, (s, t) in enumerate(pairs):
+        rows = slice(row * fourn, (row + 1) * fourn)
+        big[:, rows, s * fourn:(s + 1) * fourn] += M[:, t]
+        big[:, rows, t * fourn:(t + 1) * fourn] += M[:, s]
+        b[:, rows] = -(offsets[:, t, :, s] + offsets[:, s, :, t])
 
-    z, _, _, sv = np.linalg.lstsq(big, b, rcond=None)
-    residual = float(np.abs(big @ z - b).max())
-    min_sv = float(sv[-1]) if len(sv) else 0.0
-    cond = float(sv[0] / sv[-1]) if len(sv) and sv[-1] > 0 else np.inf
+    # least squares through the SVD, with lstsq's default cutoff
+    Ub, sv, Vbt = np.linalg.svd(big, full_matrices=False)
+    cutoff = np.finfo(float).eps * max(big.shape[1:]) * sv[:, :1]
+    with np.errstate(divide="ignore"):
+        inv = np.where(sv > cutoff, 1.0 / sv, 0.0)
+        cond = np.where(sv[:, -1] > 0, sv[:, 0] / sv[:, -1], np.inf)
+    z = np.einsum("pij,pi->pj", Vbt,
+                  inv * np.einsum("pki,pk->pi", Ub, b))
+    residual = _row_max(np.einsum("pij,pj->pi", big, z) - b)
 
-    if residual > tol.reeb:
-        raise BiquardConditionFail(
-            "vertical compatibility system is inconsistent "
-            "(not a quaternionic contact coframe)",
-            point=u, residual=residual)
-    if cond > tol.condition_number:
-        raise IllConditioned("Reeb system is ill conditioned", point=u,
-                             residual=cond)
+    _raise_first(
+        U,
+        (residual > tol.reeb, BiquardConditionFail,
+         "vertical compatibility system is inconsistent "
+         "(not a quaternionic contact coframe)", residual),
+        (cond > tol.condition_number, IllConditioned,
+         "Reeb system is ill conditioned", cond))
 
-    xi = xi0 + N @ z.reshape(3, fourn).T
-    return ReebResult(xi=xi, residual=residual, min_singular=min_sv, cond=cond)
+    xi = xi0 + N @ _swap(z.reshape(count, 3, fourn))
+    return _shaped(ReebResult(xi=xi, residual=residual,
+                              min_singular=sv[:, -1], cond=cond), u)
 
 
 @dataclass
@@ -277,8 +315,6 @@ class PointFrame:
     dcoframe: np.ndarray       # (3, m, m)
     g_coord: np.ndarray        # (m, m)
     pivot_order: tuple
-    structure: Structure = None
-    reeb: ReebResult = None
 
     @property
     def m(self):
@@ -333,7 +369,8 @@ class PointFrame:
 
 
 def frame_field(chart, u, pivot_order=None, tol=DEFAULT_TOLERANCES):
-    """Deterministic adapted frame at u.
+    """Deterministic adapted frame at u, or one frame per row of a (P, m)
+    stack (a list).
 
     Seeds are the coordinate axes projected to H along the vertical space;
     they are Gram-Schmidt orthonormalized under the recovered metric.  The
@@ -342,59 +379,92 @@ def frame_field(chart, u, pivot_order=None, tol=DEFAULT_TOLERANCES):
     deterministic and smooth in u away from pivot switches.  Passing a
     precomputed ``pivot_order`` freezes the choice, which keeps the frame
     smooth across the small displacements used by finite differencing.
+
+    A stack raises what building its frames one by one, in row order, would
+    raise first: the error of the first failing point.
     """
     u = np.asarray(u, dtype=float)
-    structure = recover_structure(chart, u, tol)
-    reeb = reeb_solve(chart, u, structure, tol)
+    U = u.reshape(-1, chart.m)
+    try:
+        frames = _frames(chart, U, pivot_order, tol)
+    except (ChartError, EvalDomainError) as exc:
+        # each check raises for its own first failing point; an earlier
+        # point may fail a later check, and that failure comes first
+        rows = [] if exc.point is None else \
+            np.flatnonzero((U == np.asarray(exc.point)).all(axis=1))
+        if len(rows) and rows[0] > 0:
+            frame_field(chart, U[:rows[0]], pivot_order, tol)
+        raise
+    return frames if u.ndim > 1 else frames[0]
 
-    m = chart.m
+
+def _frames(chart, U, pivot_order, tol):
+    structure = recover_structure(chart, U, tol)
+    reeb = reeb_solve(chart, U, structure, tol)
+
+    count, m = U.shape
     fourn = 4 * chart.n
     N = structure.hbasis
     G = structure.gram
+    C = structure.coframe
 
     # seeds in null-space coordinates: columns of N^T (Id - xi C)
-    proj = np.eye(m) - reeb.xi @ structure.coframe
-    seeds = N.T @ proj  # (4n, m): column r = coordinates of the r-th seed
+    proj = np.eye(m) - reeb.xi @ C
+    seeds = _swap(N) @ proj  # (P, 4n, m): column r = the r-th seed
 
-    norms = np.sqrt(np.maximum(np.einsum("ir,ij,jr->r", seeds, G, seeds), 0.0))
+    norms = np.sqrt(np.maximum(
+        np.einsum("pir,pij,pjr->pr", seeds, G, seeds), 0.0))
+    top = norms.max(axis=1)
     if pivot_order is None:
-        top = norms.max()
-        if top <= 0.0:
-            raise DegenerateCoframe("all seed projections vanish", point=u)
-        keys = np.round(norms / (top * _PIVOT_TIE))
-        pivot_order = tuple(sorted(range(m), key=lambda r: (-keys[r], r)))
+        _raise_first(U, (top <= 0.0, DegenerateCoframe,
+                         "all seed projections vanish", None))
+        keys = np.round(norms / (top[:, None] * _PIVOT_TIE))
+        orders = np.argsort(-keys, axis=1, kind="stable")
+    else:
+        orders = np.broadcast_to(np.asarray(pivot_order, dtype=int),
+                                 (count, len(pivot_order)))
 
-    accepted = []
-    used = []
-    top = norms.max()
-    for r in pivot_order:
-        if len(accepted) == fourn:
+    # Gram-Schmidt over the points at once; each point accepts its seeds
+    # in its own pivot order until it holds 4n directions
+    ordered = np.take_along_axis(seeds, orders[:, None, :], axis=2)
+    Q = np.zeros((count, fourn, fourn))     # accepted directions (columns)
+    QG = np.zeros((count, fourn, fourn))    # their rows q^T G
+    accepted = np.zeros(count, dtype=int)
+    used = np.zeros((count, fourn), dtype=int)
+    points = np.arange(count)
+    for j in range(orders.shape[1]):
+        live = accepted < fourn
+        if not live.any():
             break
-        y = seeds[:, r].copy()
-        for q in accepted:
-            y -= (q @ G @ y) * q
-        nrm = float(y @ G @ y) ** 0.5
-        if nrm > _PIVOT_DROP * top:
-            accepted.append(y / nrm)
-            used.append(r)
-    if len(accepted) < fourn:
+        y = ordered[:, :, j].copy()
+        for i in range(accepted.max()):
+            y -= np.einsum("pi,pi->p", QG[:, i], y)[:, None] * Q[:, :, i]
+        with np.errstate(invalid="ignore"):
+            nrm = np.sqrt(np.einsum("pi,pij,pj->p", y, G, y))
+        take = live & (nrm > _PIVOT_DROP * top)
+        rows, slots = points[take], accepted[take]
+        Q[rows, :, slots] = y[take] / nrm[take, None]
+        QG[rows, slots] = np.einsum("pi,pij->pj", Q[rows, :, slots], G[take])
+        used[rows, slots] = orders[take, j]
+        accepted += take
+    short = np.flatnonzero(accepted < fourn)
+    if short.size:
+        k = short[0]
         raise DegenerateCoframe(
-            f"could only build {len(accepted)} of {fourn} frame directions",
-            point=u)
+            f"could only build {accepted[k]} of {fourn} frame directions",
+            point=U[k])
 
-    U = np.column_stack(accepted)          # (4n, 4n), columns G-orthonormal
-    eH = N @ U                             # (m, 4n)
-    Imats = [U.T @ G @ structure.imatrices[s] @ U for s in range(3)]
+    eH = N @ Q                             # (P, m, 4n)
+    Imats = (_swap(Q) @ G)[:, None] @ structure.imatrices @ Q[:, None]
+    g_coord = _swap(proj) @ (N @ G @ _swap(N)) @ proj + _swap(C) @ C
 
-    g_coord = proj.T @ (N @ G @ N.T) @ proj \
-        + structure.coframe.T @ structure.coframe
-
-    return PointFrame(point=u, eH=eH, xi=reeb.xi.copy(),
-                      I=QuaternionTriple(*Imats),
-                      reeb_residual=reeb.residual,
-                      coframe=structure.coframe, dcoframe=structure.dcoframe,
-                      g_coord=g_coord, pivot_order=tuple(used),
-                      structure=structure, reeb=reeb)
+    return [PointFrame(point=U[k], eH=eH[k], xi=reeb.xi[k],
+                       I=QuaternionTriple(*Imats[k]),
+                       reeb_residual=float(reeb.residual[k]),
+                       coframe=C[k], dcoframe=structure.dcoframe[k],
+                       g_coord=g_coord[k],
+                       pivot_order=tuple(used[k].tolist()))
+            for k in range(count)]
 
 
 def lie_bracket(chart, x_fn, y_fn, u, h=None):
@@ -428,21 +498,24 @@ class FrameJet:
         self.frame = frame
         u = frame.point
         m = chart.m
-        fourn = self.frame.fourn
         pivots = self.frame.pivot_order
 
-        self.d_eH = np.empty((m, fourn, m))   # d(eH)/du_r in last slot
-        self.d_xi = np.empty((m, 3, m))
-        self.d_I = np.empty((3, fourn, fourn, m))
-        for r in range(m):
-            step = np.zeros(m)
-            step[r] = h
-            fp = frame_field(chart, u + step, pivot_order=pivots, tol=tol)
-            fm = frame_field(chart, u - step, pivot_order=pivots, tol=tol)
-            self.d_eH[:, :, r] = (fp.eH - fm.eH) / (2 * h)
-            self.d_xi[:, :, r] = (fp.xi - fm.xi) / (2 * h)
-            for s in range(3):
-                self.d_I[s, :, :, r] = (fp.I[s] - fm.I[s]) / (2 * h)
+        # displaced points in the order +e_1, -e_1, +e_2, ...: one stacked
+        # frame evaluation
+        step = h * np.eye(m)
+        displaced = np.empty((2 * m, m))
+        displaced[0::2] = u + step
+        displaced[1::2] = u - step
+        frames = frame_field(chart, displaced, pivot_order=pivots, tol=tol)
+
+        def derivative(arrays):
+            # d/du_r in the last slot
+            stacked = np.array(arrays)
+            return np.moveaxis((stacked[0::2] - stacked[1::2]) / (2 * h), 0, -1)
+
+        self.d_eH = derivative([f.eH for f in frames])      # (m, 4n, m)
+        self.d_xi = derivative([f.xi for f in frames])      # (m, 3, m)
+        self.d_I = derivative([list(f.I) for f in frames])  # (3, 4n, 4n, m)
 
     @property
     def m(self):

@@ -22,6 +22,7 @@ import numpy as np
 from . import suite, twistor as tw
 from .catalog import builtin_charts, get_chart, load_config
 from .chart import frame_field
+from .curvature import FrozenPivotStage
 from .errors import QCLabError
 from .tolerances import DEFAULT_STEPS, DEFAULT_TOLERANCES
 
@@ -93,14 +94,17 @@ def _parallel_map(fn, items, threads):
         return list(pool.map(fn, items))
 
 
-def _add_common(p, chart_required=True):
+def _add_fiber(p, default=2):
+    p.add_argument("--fiber", type=int, default=default,
+                   help="fibre samples per base point")
+
+
+def _add_common(p):
     p.add_argument("--chart", help="catalog chart name")
     p.add_argument("--config", help="chart configuration file")
     p.add_argument("--points", default="5",
                    help="sample count, or explicit points "
                         "'c1,c2,...;c1,c2,...'")
-    p.add_argument("--fiber", type=int, default=2,
-                   help="fibre samples per base point")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("text", "json", "csv"),
                    default="text")
@@ -111,7 +115,8 @@ def _add_common(p, chart_required=True):
     p.add_argument("--fd-step", type=float, default=None,
                    help=f"first-derivative step (default {DEFAULT_STEPS.fd})")
     p.add_argument("--curv-step", type=float, default=None,
-                   help=f"curvature step (default {DEFAULT_STEPS.curv})")
+                   help="curvature step h; the full curvature is extrapolated "
+                        f"from h and h/2 (default {DEFAULT_STEPS.curv})")
     p.add_argument("--tol-normal", type=float, default=None)
     p.add_argument("--tol-t0", type=float, default=None)
     p.add_argument("--tol-reeb", type=float, default=None)
@@ -143,6 +148,7 @@ def build_parser():
     p = sub.add_parser("normality",
                        help="normality verdicts at twistor points")
     _add_common(p)
+    _add_fiber(p)
     p.add_argument("--oracle", action="store_true",
                    help="also run the finite-difference Lie-derivative "
                         "oracle and report the agreement")
@@ -152,11 +158,12 @@ def build_parser():
 
     p = sub.add_parser("identities", help="full identity suite")
     _add_common(p)
-    p.set_defaults(fiber=1)
+    _add_fiber(p, default=1)
 
     p = sub.add_parser("sweep",
                        help="grid sweep over base and fibre points (CSV)")
     _add_common(p)
+    _add_fiber(p)
     p.set_defaults(format="csv")
     return parser
 
@@ -334,9 +341,11 @@ def _normality_work(chart, steps, tol, fibre_points, gauge_pipeline, oracle,
                     seed, item):
     index, u = item
     out = []
-    base = None
-    if not gauge_pipeline:
+    if gauge_pipeline:
+        stage = FrozenPivotStage(chart, u, steps, tol) if oracle else None
+    else:
         base = tw.base_point_data(chart, u, steps=steps, tol=tol)
+        stage = base.stage
     for k, x in enumerate(fibre_points):
         if gauge_pipeline:
             rep = tw.lie_chi_G(chart, u, x, steps=steps, tol=tol)
@@ -349,9 +358,8 @@ def _normality_work(chart, steps, tol, fibre_points, gauge_pipeline, oracle,
                    t0_norm=rep.t0_norm, tau=rep.tau,
                    verdict=rep.verdict)
         if oracle:
-            orac = tw.normality_direct_oracle(
-                chart, u, x, sample_pairs=10, seed=seed,
-                steps=steps, tol=tol, report=rep)
+            orac = tw.normality_direct_oracle(stage, x, sample_pairs=10,
+                                              seed=seed, report=rep)
             row["oracle_deviation"] = orac["max_deviation"]
         out.append(row)
     return out

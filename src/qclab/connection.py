@@ -77,26 +77,28 @@ def vertical_on_H(jet, tol=DEFAULT_TOLERANCES):
         for a in range(fourn):
             B[s][:, a] = frame.h_components(jet.bracket(fourn + s, a))
 
+    def off_sp1(M):
+        return M - sp1_component(M, triple)
+
+    # the torsion-skew basis mapped through [., I_t], off sp(1): the same
+    # for every s
     basis = torsion_skew_basis(triple)
+    if basis:
+        cols = np.column_stack([
+            np.concatenate([
+                off_sp1(E @ triple[t] - triple[t] @ E).ravel()
+                for t in range(3)])
+            for E in basis])
     C = np.empty_like(B)
     q_residual = 0.0
     for s in range(3):
         skew_b = skew_part(B[s])
         base = project_P(skew_b, triple) + sp1_component(skew_b, triple)
         dI0 = [jet.directional_I(t, frame.xi[:, s]) for t in range(3)]
-
-        def off_sp1(M):
-            return M - sp1_component(M, triple)
-
         rhs = np.concatenate([
             -off_sp1(dI0[t] + base @ triple[t] - triple[t] @ base).ravel()
             for t in range(3)])
         if basis:
-            cols = np.column_stack([
-                np.concatenate([
-                    off_sp1(E @ triple[t] - triple[t] @ E).ravel()
-                    for t in range(3)])
-                for E in basis])
             coeffs, _, _, _ = np.linalg.lstsq(cols, rhs, rcond=None)
             extra = sum(c * E for c, E in zip(coeffs, basis))
             res = np.abs(cols @ coeffs - rhs).max()

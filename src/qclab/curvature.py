@@ -5,8 +5,11 @@ frame: directional derivatives of the connection-coefficient field along the
 frame directions (central differences of step ``curv``), coefficient
 commutators, and the structure-function term.  From the curvature slots:
 Ricci, the three curvature 2-forms paired with the triple, the scalar
-curvature and its normalization tau = Scal / (16 n (n+2)).  Every stencil
-takes its displaced points from a ``FrozenPivotStage``.
+curvature and its normalization tau = Scal / (16 n (n+2)).  The full slot
+set and the tau-derivative are Richardson-extrapolated from the steps h and
+h/2, which cancels their O(h^2) truncation; the horizontal path is
+single-step.  Every stencil takes its displaced points from a
+``FrozenPivotStage``.
 """
 
 from dataclasses import dataclass
@@ -23,7 +26,9 @@ from .tolerances import DEFAULT_STEPS, DEFAULT_TOLERANCES
 class FrozenPivotStage:
     """Frame -> frame jet -> connection -> Scal at one base point and at the
     displaced points of its stencils, with the frame pivots frozen to the
-    base point's.
+    base point's.  Frames and connections depend only on the point (and the
+    ``fd`` step), so stencils of every curvature step share them; Scal is
+    memoised per step.
 
     This is the only way into the pipeline.  The base frame is built once
     with free pivots; its pivot order is frozen for every other point, and
@@ -63,11 +68,12 @@ class FrozenPivotStage:
             FrameJet(self.chart, self.frame(p), self.steps.fd, self.tol),
             self.tol))
 
-    def scal(self, p):
-        return self._memo("scal", p, lambda p: scal_at(self, p))
+    def scal(self, p, h):
+        return self._memo(("scal", h), p, lambda p: scal_at(self, p, h))
 
     def tau(self, p):
-        return _tau(self.chart, self.scal(p))
+        """tau at p from the horizontal slots at the step ``curv``."""
+        return _tau(self.chart, self.scal(p, self.steps.curv))
 
 
 def _tau(chart, scal):
@@ -95,13 +101,22 @@ class CurvatureAtPoint:
         return self.Ric.shape[0]
 
 
-def _curvature_slots(stage, u, conn, directions):
+def _richardson(coarse, fine):
+    """Combine results at steps h and h/2 so that their O(h^2) truncation
+    cancels."""
+    return (4.0 * fine - coarse) / 3.0
+
+
+def _ricci(R, fourn):
+    return np.einsum("babc->ac", R[:fourn, :fourn, :, :])
+
+
+def _curvature_slots(stage, u, conn, directions, h):
     """R[alpha, beta] for the ordered pairs alpha < beta of ``directions``:
-    the connection field differenced along each direction (step ``curv``)
-    at the stage's displaced points, the coefficient commutator, and the
+    the connection field differenced along each direction (step ``h``) at
+    the stage's displaced points, the coefficient commutator, and the
     structure-function term."""
     jet = conn.jet
-    h = stage.steps.curv
     Gam0 = conn.stacked_matrices()
     m, fourn = Gam0.shape[0], Gam0.shape[1]
     dGam = {}
@@ -125,14 +140,24 @@ def _curvature_slots(stage, u, conn, directions):
     return R
 
 
+def _dtau(stage, u, v, h):
+    """tau differenced along v with step h; the Scal at each end uses the
+    same step, so the truncation of the pair stays O(h^2) in h."""
+    return _tau(stage.chart,
+                (stage.scal(u + h * v, h) - stage.scal(u - h * v, h))
+                / (2.0 * h))
+
+
 def curvature_at_point(stage, u, pairs="all", dtau_dirs=None):
     """Curvature data at a point, with the connection and the displaced
     points from ``stage`` (its steps and tolerances apply).
 
     ``pairs="horizontal"`` restricts to horizontal index pairs (enough for
-    Ric, Scal, tau) and is the cheap path used when differencing tau itself.
-    ``dtau_dirs`` selects which Reeb directions tau is differenced along
-    (default: all three when the full slot set is computed).
+    Ric, Scal, tau) and is the cheap single-step path.  With the full slot
+    set, R (and with it Ric, rho, Scal, tau) and the tau-derivatives are
+    extrapolated from the steps h = ``curv`` and h/2.  ``dtau_dirs`` selects
+    which Reeb directions tau is differenced along (default: all three when
+    the full slot set is computed).
     """
     u = np.asarray(u, dtype=float)
     chart = stage.chart
@@ -142,10 +167,20 @@ def curvature_at_point(stage, u, pairs="all", dtau_dirs=None):
     fourn = frame.fourn
     m = chart.m
 
-    directions = range(fourn) if pairs == "horizontal" else range(m)
-    R = _curvature_slots(stage, u, conn, directions)
+    if pairs == "horizontal":
+        directions = range(fourn)
+        steps = (h,)
+    else:
+        directions = range(m)
+        steps = (h, h / 2)
 
-    Ric = np.einsum("babc->ac", R[:fourn, :fourn, :, :])
+    def extrapolated(results):
+        return results[0] if len(results) == 1 else _richardson(*results)
+
+    R = extrapolated([_curvature_slots(stage, u, conn, directions, step)
+                      for step in steps])
+
+    Ric = _ricci(R, fourn)
     Scal = float(np.trace(Ric))
     tau = _tau(chart, Scal)
 
@@ -172,10 +207,8 @@ def curvature_at_point(stage, u, pairs="all", dtau_dirs=None):
     if dtau_dirs:
         dtau_xi = np.zeros(3)
         for s in dtau_dirs:
-            v = frame.xi[:, s]
-            tp = stage.scal(u + h * v)
-            tm = stage.scal(u - h * v)
-            dtau_xi[s] = _tau(chart, (tp - tm) / (2.0 * h))
+            dtau_xi[s] = extrapolated([_dtau(stage, u, frame.xi[:, s], step)
+                                       for step in steps])
 
     diagnostics = {"curvature_metricity": float(skew_res)}
     return CurvatureAtPoint(frame=frame, conn=conn, R=R, Ric=Ric, rho=rho,
@@ -183,37 +216,45 @@ def curvature_at_point(stage, u, pairs="all", dtau_dirs=None):
                             diagnostics=diagnostics)
 
 
-def scal_at(stage, u):
-    """Scalar curvature at a (displaced) point through the horizontal-pair
-    path; used for differencing tau along the Reeb directions.  Callers go
-    through ``FrozenPivotStage.scal``, which memoises it."""
-    return curvature_at_point(stage, u, pairs="horizontal").Scal
+def scal_at(stage, u, h):
+    """Scalar curvature at a (displaced) point from the horizontal slots at
+    step ``h``; used for differencing tau along the Reeb directions.
+    Callers go through ``FrozenPivotStage.scal``, which memoises it."""
+    conn = stage.connection(u)
+    R = _curvature_slots(stage, u, conn, range(conn.fourn), h)
+    return float(np.trace(_ricci(R, conn.fourn)))
+
+
+def _pair_slot(stage, a_index, b_index, h):
+    """Single-step matrix of R(f_a, f_b)|H at the stage's base point."""
+    a, b = sorted((a_index, b_index))
+    M = _curvature_slots(stage, stage.u, stage.connection(stage.u), (a, b),
+                         h)[a, b]
+    return M if a_index < b_index else -M
 
 
 def curvature_endo(stage, a_index, b_index):
     """Matrix of R(f_a, f_b)|H at the stage's base point for a single
-    ordered pair of frame directions."""
-    conn = stage.connection(stage.u)
+    ordered pair of frame directions, extrapolated from the steps h and h/2
+    like the full slot set."""
     if a_index == b_index:
-        return np.zeros_like(conn.gamma[0])
-    a, b = sorted((a_index, b_index))
-    M = _curvature_slots(stage, stage.u, conn, (a, b))[a, b]
-    return M if a_index < b_index else -M
+        return np.zeros_like(stage.connection(stage.u).gamma[0])
+    h = stage.steps.curv
+    return _richardson(_pair_slot(stage, a_index, b_index, h),
+                       _pair_slot(stage, a_index, b_index, h / 2))
 
 
 def step_diagnostic(chart, u, a_index, b_index, steps=DEFAULT_STEPS,
                     tol=DEFAULT_TOLERANCES, raise_on_noise=False):
     """Step-halving consistency of the curvature differencing.
 
-    Returns (delta_h, delta_half, ratio): the change between steps h and h/2
-    and between h/2 and h/4, with h = ``steps.curv``.  Second-order
-    differencing shrinks the change about fourfold; a ratio collapsing
-    towards (or below) one signals that rounding noise dominates."""
-    r_h, r_h2, r_h4 = (
-        curvature_endo(FrozenPivotStage(
-            chart, u, steps.updated(curv=steps.curv / 2 ** k), tol),
-            a_index, b_index)
-        for k in range(3))
+    Returns (delta_h, delta_half, ratio): the change of the single-step slot
+    between steps h and h/2 and between h/2 and h/4, with h = ``steps.curv``.
+    Second-order differencing shrinks the change about fourfold; a ratio
+    collapsing towards (or below) one signals that rounding noise dominates."""
+    stage = FrozenPivotStage(chart, u, steps, tol)
+    r_h, r_h2, r_h4 = (_pair_slot(stage, a_index, b_index, steps.curv / 2 ** k)
+                       for k in range(3))
     delta1 = float(np.abs(r_h - r_h2).max())
     delta2 = float(np.abs(r_h2 - r_h4).max())
     ratio = delta1 / delta2 if delta2 > 0 else np.inf

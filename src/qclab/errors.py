@@ -34,8 +34,12 @@ class DimensionExceeded(ExprError):
         self.offset = offset
 
 
+def _floats(point):
+    return None if point is None else [float(c) for c in point]
+
+
 def _at_point(message, point):
-    return message if point is None else f"{message} at point {list(point)}"
+    return message if point is None else f"{message} at point {_floats(point)}"
 
 
 class EvalDomainError(QCLabError):
@@ -44,7 +48,7 @@ class EvalDomainError(QCLabError):
 
     def __init__(self, message, point=None):
         super().__init__(_at_point(message, point))
-        self.point = None if point is None else list(point)
+        self.point = _floats(point)
 
 
 # --- chart / structure recovery ---
@@ -57,7 +61,7 @@ class ChartError(QCLabError):
         if residual is not None:
             detail += f" (residual {residual:.3e})"
         super().__init__(detail)
-        self.point = None if point is None else list(point)
+        self.point = _floats(point)
         self.residual = residual
 
 

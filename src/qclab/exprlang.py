@@ -10,7 +10,9 @@ Grammar (infix, whitespace-insensitive):
 
 Variables are u1..um (1-based), functions sin, cos, exp, log, sqrt, tanh.
 Evaluation never returns NaN/Inf silently: leaving the real domain raises
-EvalDomainError.  First derivatives are exact (dual-number forward mode).
+EvalDomainError.  Expressions are compiled into a ``Tape`` of unique
+subexpressions, which evaluates values and exact first derivatives over a
+stack of points.
 """
 
 import math
@@ -24,46 +26,11 @@ from .errors import (DimensionExceeded, EvalDomainError, ExprSyntaxError,
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "tanh")
 
 
-class Dual:
-    """Value together with its vector of partial derivatives."""
-
-    __slots__ = ("value", "partials")
-
-    def __init__(self, value, partials):
-        self.value = value
-        self.partials = partials
-
-    def __add__(self, other):
-        return Dual(self.value + other.value, self.partials + other.partials)
-
-    def __sub__(self, other):
-        return Dual(self.value - other.value, self.partials - other.partials)
-
-    def __mul__(self, other):
-        return Dual(self.value * other.value,
-                    self.value * other.partials + other.value * self.partials)
-
-    def __truediv__(self, other):
-        if other.value == 0.0:
-            raise EvalDomainError("division by zero")
-        inv = 1.0 / other.value
-        return Dual(self.value * inv,
-                    (self.partials - self.value * inv * other.partials) * inv)
-
-    def __neg__(self):
-        return Dual(-self.value, -self.partials)
-
-
 # --- AST nodes -------------------------------------------------------------
 
 class Expr:
-    """Base node.  Nodes are immutable; evaluation is stateless."""
-
-    def eval(self, point):
-        raise NotImplementedError
-
-    def eval_dual(self, duals):
-        raise NotImplementedError
+    """Base node.  Nodes are immutable; they are evaluated only through a
+    compiled ``Tape``."""
 
     def to_string(self):
         raise NotImplementedError
@@ -78,12 +45,6 @@ class Const(Expr):
     def __init__(self, value):
         self.value = float(value)
 
-    def eval(self, point):
-        return self.value
-
-    def eval_dual(self, duals):
-        return Dual(self.value, np.zeros_like(duals[0].partials))
-
     def to_string(self):
         return repr(self.value)
 
@@ -94,12 +55,6 @@ class Var(Expr):
     def __init__(self, index):
         self.index = index  # 0-based
 
-    def eval(self, point):
-        return point[self.index]
-
-    def eval_dual(self, duals):
-        return duals[self.index]
-
     def to_string(self):
         return f"u{self.index + 1}"
 
@@ -109,12 +64,6 @@ class Neg(Expr):
 
     def __init__(self, arg):
         self.arg = arg
-
-    def eval(self, point):
-        return -self.arg.eval(point)
-
-    def eval_dual(self, duals):
-        return -self.arg.eval_dual(duals)
 
     def to_string(self):
         return f"(-{self.arg.to_string()})"
@@ -135,105 +84,24 @@ class BinOp(Expr):
 class Add(BinOp):
     symbol = "+"
 
-    def eval(self, point):
-        return self.left.eval(point) + self.right.eval(point)
-
-    def eval_dual(self, duals):
-        return self.left.eval_dual(duals) + self.right.eval_dual(duals)
-
 
 class Sub(BinOp):
     symbol = "-"
-
-    def eval(self, point):
-        return self.left.eval(point) - self.right.eval(point)
-
-    def eval_dual(self, duals):
-        return self.left.eval_dual(duals) - self.right.eval_dual(duals)
 
 
 class Mul(BinOp):
     symbol = "*"
 
-    def eval(self, point):
-        return self.left.eval(point) * self.right.eval(point)
-
-    def eval_dual(self, duals):
-        return self.left.eval_dual(duals) * self.right.eval_dual(duals)
-
 
 class Div(BinOp):
     symbol = "/"
 
-    def eval(self, point):
-        den = self.right.eval(point)
-        if den == 0.0:
-            raise EvalDomainError("division by zero")
-        return self.left.eval(point) / den
-
-    def eval_dual(self, duals):
-        return self.left.eval_dual(duals) / self.right.eval_dual(duals)
-
-
-def _int_pow(base, k):
-    # repeated multiplication; negative exponents through the reciprocal
-    if k < 0:
-        if base == 0.0:
-            raise EvalDomainError("zero raised to a negative power")
-        return 1.0 / _int_pow(base, -k)
-    out = 1.0
-    for _ in range(k):
-        out = out * base
-    return out
-
-
-def _int_pow_dual(base, k):
-    if k < 0:
-        if base.value == 0.0:
-            raise EvalDomainError("zero raised to a negative power")
-        one = Dual(1.0, np.zeros_like(base.partials))
-        return one / _int_pow_dual(base, -k)
-    out = Dual(1.0, np.zeros_like(base.partials))
-    for _ in range(k):
-        out = out * base
-    return out
-
 
 class Pow(BinOp):
-    """Integer exponents by repeated multiplication; real exponents through
-    exp(b log a), which requires a positive base."""
+    """Constant integer exponents by repeated multiplication; any other
+    exponent through exp(b log a), which requires a positive base."""
 
     symbol = "^"
-
-    def eval(self, point):
-        b = self.left.eval(point)
-        e = self.right.eval(point)
-        if float(e).is_integer():
-            return _int_pow(b, int(e))
-        if b <= 0.0:
-            raise EvalDomainError("non-integer power of a non-positive base")
-        return math.exp(e * math.log(b))
-
-    def eval_dual(self, duals):
-        b = self.left.eval_dual(duals)
-        e = self.right.eval_dual(duals)
-        if float(e.value).is_integer() and not e.partials.any():
-            return _int_pow_dual(b, int(e.value))
-        if b.value <= 0.0:
-            raise EvalDomainError("non-integer power of a non-positive base")
-        # a^e = exp(e log a)
-        log_b = Dual(math.log(b.value), b.partials / b.value)
-        prod = e * log_b
-        val = math.exp(prod.value)
-        return Dual(val, val * prod.partials)
-
-
-_FUNC_IMPL = {
-    "sin": (math.sin, math.cos),
-    "cos": (math.cos, lambda v: -math.sin(v)),
-    "exp": (math.exp, math.exp),
-    "tanh": (math.tanh, lambda v: 1.0 - math.tanh(v) ** 2),
-}
 
 
 class Call(Expr):
@@ -243,38 +111,263 @@ class Call(Expr):
         self.name = name
         self.arg = arg
 
-    def eval(self, point):
-        v = self.arg.eval(point)
-        if self.name == "log":
-            if v <= 0.0:
-                raise EvalDomainError("log of a non-positive value")
-            return math.log(v)
-        if self.name == "sqrt":
-            if v < 0.0:
-                raise EvalDomainError("sqrt of a negative value")
-            return math.sqrt(v)
-        fn, _ = _FUNC_IMPL[self.name]
-        return fn(v)
-
-    def eval_dual(self, duals):
-        a = self.arg.eval_dual(duals)
-        v = a.value
-        if self.name == "log":
-            if v <= 0.0:
-                raise EvalDomainError("log of a non-positive value")
-            return Dual(math.log(v), a.partials / v)
-        if self.name == "sqrt":
-            if v < 0.0:
-                raise EvalDomainError("sqrt of a negative value")
-            if v == 0.0:
-                raise EvalDomainError("sqrt not differentiable at zero")
-            r = math.sqrt(v)
-            return Dual(r, a.partials * (0.5 / r))
-        fn, dfn = _FUNC_IMPL[self.name]
-        return Dual(fn(v), dfn(v) * a.partials)
-
     def to_string(self):
         return f"{self.name}({self.arg.to_string()})"
+
+
+# --- compiled tape -----------------------------------------------------------
+#
+# A value is a float (constant node) or a (P, 1) column over the points; a
+# gradient is None (constant), a (1, m) unit row (variable) or a (P, m) array.
+# Each kernel returns (value, gradient, [(failure mask, message), ...]); the
+# gradient is only formed when ``want`` is true.
+
+def _plus(da, db):
+    return db if da is None else da if db is None else da + db
+
+
+def _minus(da, db):
+    return (None if db is None else -db) if da is None else \
+        da if db is None else da - db
+
+
+def _scaled(c, d):
+    return None if d is None else c * d
+
+
+def _int_pow(base, k):
+    out = 1.0
+    for _ in range(k):
+        out = out * base
+    return out
+
+
+def _k_neg(want, a, da):
+    return -a, _scaled(-1.0, da) if want else None, ()
+
+
+def _k_add(want, a, da, b, db):
+    return a + b, _plus(da, db) if want else None, ()
+
+
+def _k_sub(want, a, da, b, db):
+    return a - b, _minus(da, db) if want else None, ()
+
+
+def _k_mul(want, a, da, b, db):
+    return a * b, _plus(_scaled(a, db), _scaled(b, da)) if want else None, ()
+
+
+def _k_div(want, a, da, b, db):
+    fails = ((b == 0.0, "division by zero"),)
+    d = None
+    if want:
+        inv = 1.0 / b
+        d = _scaled(inv, _minus(da, _scaled(a * inv, db)))
+    return a / b, d, fails
+
+
+def _k_ipow(want, a, da, k):
+    fails = ((a == 0.0, "zero raised to a negative power"),) if k < 0 else ()
+    value = 1.0 / _int_pow(a, -k) if k < 0 else _int_pow(a, k)
+    d = None
+    if want and k:
+        slope = k / _int_pow(a, 1 - k) if k < 0 else k * _int_pow(a, k - 1)
+        d = _scaled(slope, da)
+    return value, d, fails
+
+
+def _k_pow(want, a, da, e, de):
+    fails = ((a <= 0.0, "non-integer power of a non-positive base"),)
+    log_a = np.log(a)
+    value = np.exp(e * log_a)
+    d = None
+    if want:
+        d = _scaled(value, _plus(_scaled(log_a, de), _scaled(e / a, da)))
+    return value, d, fails
+
+
+def _k_log(want, a, da):
+    return (np.log(a), _scaled(1.0 / a, da) if want else None,
+            ((a <= 0.0, "log of a non-positive value"),))
+
+
+def _k_sqrt(want, a, da):
+    r = np.sqrt(a)
+    fails = [(a < 0.0, "sqrt of a negative value")]
+    d = None
+    if want:
+        fails.append((a == 0.0, "sqrt not differentiable at zero"))
+        d = _scaled(0.5 / r, da)
+    return r, d, fails
+
+
+def _smooth(fn, dfn):
+    def kernel(want, a, da):
+        return fn(a), _scaled(dfn(a), da) if want else None, ()
+    return kernel
+
+
+_KERNELS = {
+    "neg": _k_neg, "add": _k_add, "sub": _k_sub, "mul": _k_mul,
+    "div": _k_div, "ipow": _k_ipow, "pow": _k_pow,
+    "log": _k_log, "sqrt": _k_sqrt,
+    "sin": _smooth(np.sin, np.cos),
+    "cos": _smooth(np.cos, lambda v: -np.sin(v)),
+    "exp": _smooth(np.exp, np.exp),
+    "tanh": _smooth(np.tanh, lambda v: 1.0 - np.tanh(v) ** 2),
+}
+_BINARY = {Add: "add", Sub: "sub", Mul: "mul", Div: "div"}
+
+
+class Tape:
+    """The unique subexpressions of a list of expressions, compiled once and
+    evaluated in order over a (P, m) array of points.
+
+    Nodes are deduplicated structurally, so a factor or a row shared by
+    several expressions is one slot; constant subexpressions are folded.
+    Evaluation returns values and, on request, exact gradients.  A row
+    leaving the real domain (log or sqrt of a negative value, division by
+    zero, ...) or producing a non-finite value raises ``EvalDomainError``
+    naming the first such point, with the message of the first failing node
+    there."""
+
+    def __init__(self, exprs, m):
+        self.m = m
+        self.consts = []     # per slot: the folded float, or None
+        self.code = []       # (slot, op, argument slots, variable index
+                             #  or integer exponent)
+        self._units = np.eye(m)[:, None, :]
+        keys, by_id = {}, {}
+        self.outputs = tuple(self._slot(e, keys, by_id) for e in exprs)
+        fixed = [c for c, k in enumerate(self.outputs)
+                 if self.consts[k] is not None]
+        self._fixed_cols = np.array(fixed, dtype=int)
+        self._fixed_values = np.array([self.consts[self.outputs[c]]
+                                       for c in fixed])
+        self._live_cols = [c for c, k in enumerate(self.outputs)
+                           if self.consts[k] is None]
+        self._live_slots = [self.outputs[c] for c in self._live_cols]
+
+    def _slot(self, node, keys, by_id):
+        slot = by_id.get(id(node))
+        if slot is not None:
+            return slot
+        param = None
+        if isinstance(node, Const):
+            key = ("const", node.value.hex())
+        elif isinstance(node, Var):
+            key = ("var", node.index)
+        elif isinstance(node, Neg):
+            key = ("neg", self._slot(node.arg, keys, by_id))
+        elif isinstance(node, Call):
+            key = (node.name, self._slot(node.arg, keys, by_id))
+        elif isinstance(node, Pow):
+            base = self._slot(node.left, keys, by_id)
+            expo = self._slot(node.right, keys, by_id)
+            e = self.consts[expo]
+            if e is not None and e.is_integer():
+                key, param = ("ipow", base, int(e)), int(e)
+            else:
+                key = ("pow", base, expo)
+        else:
+            key = (_BINARY[type(node)],
+                   self._slot(node.left, keys, by_id),
+                   self._slot(node.right, keys, by_id))
+        slot = keys.get(key)
+        if slot is None:
+            slot = keys[key] = self._new_slot(key, param, node)
+        by_id[id(node)] = slot
+        return slot
+
+    def _new_slot(self, key, param, node):
+        slot = len(self.consts)
+        op = key[0]
+        if op == "const":
+            self.consts.append(node.value)
+            return slot
+        args = () if op == "var" else \
+            tuple(key[1:2]) if op == "ipow" else tuple(key[1:])
+        folded = None
+        if op != "var" and all(self.consts[a] is not None for a in args):
+            values = [self.consts[a] for a in args]
+            with np.errstate(all="ignore"):
+                value, _, fails = self._apply(op, values, [None] * len(args),
+                                              param, False)
+            if math.isfinite(value) and not any(f for f, _ in fails):
+                folded = float(value)
+        self.consts.append(folded)
+        if folded is None:
+            self.code.append((slot, op, args,
+                              key[1] if op == "var" else param))
+        return slot
+
+    @staticmethod
+    def _apply(op, values, grads, param, want):
+        kernel = _KERNELS[op]
+        pairs = [x for pair in zip(values, grads) for x in pair]
+        if op == "ipow":
+            return kernel(want, *pairs, param)
+        return kernel(want, *pairs)
+
+    def _run(self, points, want):
+        points = np.asarray(points, dtype=float)
+        count = points.shape[0]
+        vals = list(self.consts)
+        ders = [None] * len(vals)
+        failed = np.full(count, -1)
+        messages = []
+
+        def record(mask, message):
+            mask = np.asarray(mask)
+            mask = np.full(count, bool(mask)) if mask.ndim == 0 else mask[:, 0]
+            if mask.any():
+                mask &= failed < 0
+                failed[mask] = len(messages)
+                messages.append(message)
+
+        with np.errstate(all="ignore"):
+            for slot, op, args, param in self.code:
+                if op == "var":
+                    vals[slot] = points[:, param:param + 1]
+                    ders[slot] = self._units[param]
+                    continue
+                value, der, fails = self._apply(
+                    op, [vals[a] for a in args], [ders[a] for a in args],
+                    param, want)
+                for mask, message in fails:
+                    record(mask, message)
+                if np.ndim(value) < 2:    # every argument was constant
+                    value = np.full((count, 1), value)
+                vals[slot] = value
+                ders[slot] = der
+            out = np.empty((count, len(self.outputs)))
+            out[:, self._fixed_cols] = self._fixed_values
+            out[:, self._live_cols] = np.concatenate(
+                [vals[slot] for slot in self._live_slots] or
+                [np.empty((count, 0))], axis=1)
+            grads = None
+            if want:
+                grads = np.zeros((count, len(self.outputs), self.m))
+                for col, slot in zip(self._live_cols, self._live_slots):
+                    if ders[slot] is not None:
+                        grads[:, col] = ders[slot]
+            bad = ~np.isfinite(out).all(axis=1)
+            if want:
+                bad |= ~np.isfinite(grads).all(axis=(1, 2))
+            record(bad[:, None], "evaluation produced a non-finite value")
+        if messages:
+            row = int(np.flatnonzero(failed >= 0)[0])
+            raise EvalDomainError(messages[failed[row]], point=points[row])
+        return out, grads
+
+    def values(self, points):
+        """Values of every expression: shape (P, number of expressions)."""
+        return self._run(points, False)[0]
+
+    def values_and_grads(self, points):
+        """Values (P, K) and exact gradients (P, K, m)."""
+        return self._run(points, True)
 
 
 # --- parser ----------------------------------------------------------------
@@ -400,35 +493,25 @@ def parse(text, m):
     return _Parser(text, m).parse()
 
 
-def evaluate(expr, point):
-    """Evaluate at a point (length-m sequence); raises EvalDomainError rather
-    than returning NaN/Inf."""
-    value = expr.eval(np.asarray(point, dtype=float))
-    if not math.isfinite(value):
-        raise EvalDomainError("evaluation produced a non-finite value")
-    return float(value)
-
-
-def make_duals(point):
-    """Seed duals for one evaluation point, shared across expressions."""
+def _single(expr, point, want):
     point = np.asarray(point, dtype=float)
-    eye = np.eye(len(point))
-    return [Dual(point[i], eye[i]) for i in range(len(point))]
+    return Tape([expr], len(point))._run(point[None], want)
+
+
+def evaluate(expr, point):
+    """Value at a point (length-m sequence); raises EvalDomainError, naming
+    the point, rather than returning NaN/Inf."""
+    return float(_single(expr, point, False)[0][0, 0])
 
 
 def grad(expr, point):
-    """Exact forward-mode gradient at a point: returns an m-vector."""
-    out = expr.eval_dual(make_duals(point))
-    if not (math.isfinite(out.value) and np.isfinite(out.partials).all()):
-        raise EvalDomainError("gradient evaluation produced a non-finite value")
-    return out.partials.copy()
+    """Exact gradient at a point: returns an m-vector."""
+    return _single(expr, point, True)[1][0, 0].copy()
 
 
 def value_and_grad(expr, point):
-    out = expr.eval_dual(make_duals(point))
-    if not (math.isfinite(out.value) and np.isfinite(out.partials).all()):
-        raise EvalDomainError("evaluation produced a non-finite value")
-    return float(out.value), out.partials.copy()
+    values, grads = _single(expr, point, True)
+    return float(values[0, 0]), grads[0, 0].copy()
 
 
 def to_string(expr):

@@ -187,10 +187,9 @@ def identity_suite(chart, u, x, steps=DEFAULT_STEPS, tol=DEFAULT_TOLERANCES,
     checks += twistor_pointwise_checks(ctx, seed=seed, tol=tol)
     checks.append(CheckResult.from_value(
         "contact-differential-oracle",
-        tw.d_eta_Z_fd_oracle(chart, u, x, steps=steps, tol=tol),
-        tol.vertical_forms))
-    cr = tw.cr_nijenhuis_residual(chart, u, x, sample_pairs=cr_pairs,
-                                  seed=seed, steps=steps, tol=tol)
+        tw.d_eta_Z_fd_oracle(base.stage, x), tol.vertical_forms))
+    cr = tw.cr_nijenhuis_residual(base.stage, x, sample_pairs=cr_pairs,
+                                  seed=seed)
     checks.append(CheckResult.from_value("cr-integrability",
                                          cr["nijenhuis"], tol.normal))
     checks.append(CheckResult.from_value("cr-levi-invariance", cr["levi"],

@@ -316,9 +316,11 @@ def lie_chi_G(chart, u, x, steps=DEFAULT_STEPS, tol=DEFAULT_TOLERANCES):
 @dataclass
 class BasePointData:
     """Connection and curvature data computed once per base point in the
-    catalog gauge; fibre reports rotate it algebraically."""
+    catalog gauge; fibre reports rotate it algebraically.  The stage that
+    built it serves the sphere-bundle oracles at the same base point."""
 
     chart: object
+    stage: FrozenPivotStage
     frame: PointFrame
     conn: object
     torsion: object
@@ -343,8 +345,8 @@ def base_point_data(chart, u, steps=DEFAULT_STEPS, tol=DEFAULT_TOLERANCES):
                 continue
             br[q, r] = conn.frame.h_components(
                 conn.jet.bracket(fourn + q, fourn + r))
-    return BasePointData(chart=chart, frame=conn.frame, conn=conn,
-                         torsion=tors, curv=curv, bracket_vv_h=br)
+    return BasePointData(chart=chart, stage=stage, frame=conn.frame,
+                         conn=conn, torsion=tors, curv=curv, bracket_vv_h=br)
 
 
 def report_from_base(data, x, tol=DEFAULT_TOLERANCES):
@@ -385,14 +387,16 @@ class _BundleCalculus:
     R^{m+3}: horizontal lifts through the quaternion-bundle connection form,
     vertical fields, the contact form and metric as functions, and
     finite-difference brackets.  Frames, connections and tau at the center
-    and at displaced base points come from a frozen-pivot stage of its own."""
+    and at displaced base points come from the base point's frozen-pivot
+    stage; the check is independent through the differencing on the bundle
+    coordinates, not through rebuilding the same frames."""
 
-    def __init__(self, chart, tp, steps=DEFAULT_STEPS, tol=DEFAULT_TOLERANCES):
-        self.chart = chart
-        self.tp = tp
-        self.stage = FrozenPivotStage(chart, tp.u, steps, tol)
-        self.fourn = self.stage.frame(tp.u).fourn
-        self.z0 = np.concatenate([tp.u, tp.x])
+    def __init__(self, stage, x):
+        self.chart = stage.chart
+        self.stage = stage
+        self.tp = TwistorPoint(stage.u, x)
+        self.fourn = stage.frame(stage.u).fourn
+        self.z0 = np.concatenate([self.tp.u, self.tp.x])
 
     @property
     def m(self):
@@ -530,17 +534,16 @@ def _closed_form_gram(report, fourn):
     return gram
 
 
-def normality_direct_oracle(chart, u, x, sample_pairs=20, seed=0,
-                            steps=DEFAULT_STEPS, tol=DEFAULT_TOLERANCES,
-                            report=None):
-    """Compute the Lie derivative of the metric along the Reeb lift by
-    direct finite differencing on the sphere-bundle coordinates and compare
-    with the closed-form slots.
+def normality_direct_oracle(stage, x, sample_pairs=20, seed=0, report=None):
+    """Compute the Lie derivative of the metric along the Reeb lift at the
+    stage's base point and fibre point x by direct finite differencing on
+    the sphere-bundle coordinates and compare with the closed-form slots
+    (``report``, by default through ``lie_chi_G``).
 
     Returns a dict with the sampled deviations and their maximum."""
-    tp = TwistorPoint(u, x)
-    calc = _BundleCalculus(chart, tp, steps=steps, tol=tol)
-    h = steps.curv
+    calc = _BundleCalculus(stage, x)
+    tp = calc.tp
+    h = stage.steps.curv
     z0 = calc.z0
 
     basis_fields = calc.frame_lift_fields()
@@ -577,7 +580,8 @@ def normality_direct_oracle(chart, u, x, sample_pairs=20, seed=0,
     direct = dgram - cross - cross.T
 
     if report is None:
-        report = lie_chi_G(chart, tp.u, tp.x, steps=steps, tol=tol)
+        report = lie_chi_G(stage.chart, tp.u, tp.x, steps=stage.steps,
+                           tol=stage.tol)
     closed = _closed_form_gram(report, calc.fourn)
 
     rng = np.random.default_rng(seed)
@@ -603,7 +607,7 @@ def normality_direct_oracle(chart, u, x, sample_pairs=20, seed=0,
     }
 
 
-def d_eta_Z_fd_oracle(chart, u, x, steps=DEFAULT_STEPS, tol=DEFAULT_TOLERANCES):
+def d_eta_Z_fd_oracle(stage, x):
     """Compare the closed-form differential of the contact form with a
     finite-difference exterior derivative on the sphere-bundle coordinates:
 
@@ -611,10 +615,10 @@ def d_eta_Z_fd_oracle(chart, u, x, steps=DEFAULT_STEPS, tol=DEFAULT_TOLERANCES):
 
     over the contact-distribution basis fields together with the Reeb lift.
     On charts with nonzero tau this recovers the -2 tau term in the slot of
-    the two rotated Reeb lifts.  Returns the worst deviation."""
-    tp = TwistorPoint(u, x)
-    calc = _BundleCalculus(chart, tp, steps=steps, tol=tol)
-    h = steps.curv
+    the two rotated Reeb lifts.  Returns the worst deviation at the stage's
+    base point and fibre point x."""
+    calc = _BundleCalculus(stage, x)
+    h = stage.steps.curv
     z0 = calc.z0
 
     fields = calc.frame_lift_fields() + [calc.chi_field()]
@@ -644,18 +648,17 @@ def d_eta_Z_fd_oracle(chart, u, x, steps=DEFAULT_STEPS, tol=DEFAULT_TOLERANCES):
     return float(worst)
 
 
-def cr_nijenhuis_residual(chart, u, x, sample_pairs=10, seed=0,
-                          steps=DEFAULT_STEPS, tol=DEFAULT_TOLERANCES,
+def cr_nijenhuis_residual(stage, x, sample_pairs=10, seed=0,
                           flip_vertical=False):
     """Nijenhuis tensor of the CR structure on sampled pairs of
     contact-distribution sections, by finite-difference brackets on the
     sphere-bundle coordinates; also checks the J-invariance of the Levi form
     through the closed-form differential.
 
-    Returns a dict with the Nijenhuis residual and the Levi-form residual."""
-    tp = TwistorPoint(u, x)
-    calc = _BundleCalculus(chart, tp, steps=steps, tol=tol)
-    h = steps.curv
+    Returns a dict with the Nijenhuis residual and the Levi-form residual
+    at the stage's base point and fibre point x."""
+    calc = _BundleCalculus(stage, x)
+    h = stage.steps.curv
     z0 = calc.z0
 
     basis_fields = calc.frame_lift_fields()

@@ -180,15 +180,14 @@ def test_criterion_3_deformation_breaks_normality(h1_deformed,
                 f"two-path slot agreement {two_path:.1e}")
 
 
-def test_criterion_4_independent_oracle(h1, h1_deformed, h1_bundles,
-                                        deformed_bundles, fibres):
+def test_criterion_4_independent_oracle(h1_bundles, deformed_bundles, fibres):
     worst = 0.0
-    for chart, bundles in ((h1, h1_bundles), (h1_deformed, deformed_bundles)):
+    for bundles in (h1_bundles, deformed_bundles):
         data = bundles[0]
         x = fibres[0]
         rep = tw.report_from_base(data, x)
-        out = tw.normality_direct_oracle(chart, data.frame.point, x,
-                                         sample_pairs=20, seed=3, report=rep)
+        out = tw.normality_direct_oracle(data.stage, x, sample_pairs=20,
+                                         seed=3, report=rep)
         worst = max(worst, out["max_deviation"])
     _record(4, "finite-difference Lie-derivative oracle vs closed forms",
             worst <= 1e-4, f"max deviation {worst:.1e}")
@@ -228,8 +227,8 @@ def test_criterion_6_torsion_structure(h1_bundles, deformed_bundles):
                 f"u (n=1) {worst_u:.1e}")
 
 
-def test_criterion_7_contact_metric_identities(h1, h1_deformed, h1_bundles,
-                                               deformed_bundles, fibres):
+def test_criterion_7_contact_metric_identities(h1_bundles, deformed_bundles,
+                                               fibres):
     worst_phi = worst_compat = worst_diff = 0.0
     rng = np.random.default_rng(7)
     for bundles in (h1_bundles, deformed_bundles):
@@ -258,9 +257,8 @@ def test_criterion_7_contact_metric_identities(h1, h1_deformed, h1_bundles,
                 worst_diff = max(worst_diff, abs(
                     tw.d_eta_Z(ctx, t1, t2)
                     - 2.0 * tw.metric_G(ctx, tw.phi(ctx, t1), t2)))
-    fd_flat = tw.d_eta_Z_fd_oracle(h1, h1_bundles[0].frame.point, fibres[0])
-    fd_def = tw.d_eta_Z_fd_oracle(h1_deformed,
-                                  deformed_bundles[0].frame.point, fibres[0])
+    fd_flat = tw.d_eta_Z_fd_oracle(h1_bundles[0].stage, fibres[0])
+    fd_def = tw.d_eta_Z_fd_oracle(deformed_bundles[0].stage, fibres[0])
     ok = (worst_phi <= 1e-12 and worst_compat <= 1e-8 and worst_diff <= 1e-8
           and fd_flat <= 1e-5 and fd_def <= 1e-5)
     _record(7, "twistor contact-metric identities",
@@ -269,12 +267,11 @@ def test_criterion_7_contact_metric_identities(h1, h1_deformed, h1_bundles,
                 f"{max(fd_flat, fd_def):.1e}")
 
 
-def test_criterion_8_cr_integrability(h1, h1_deformed, h1_bundles,
-                                      deformed_bundles, fibres):
+def test_criterion_8_cr_integrability(h1_bundles, deformed_bundles, fibres):
     worst_n = worst_l = 0.0
-    for chart, bundles in ((h1, h1_bundles), (h1_deformed, deformed_bundles)):
-        out = tw.cr_nijenhuis_residual(chart, bundles[0].frame.point,
-                                       fibres[0], sample_pairs=8, seed=5)
+    for bundles in (h1_bundles, deformed_bundles):
+        out = tw.cr_nijenhuis_residual(bundles[0].stage, fibres[0],
+                                       sample_pairs=8, seed=5)
         worst_n = max(worst_n, out["nijenhuis"])
         worst_l = max(worst_l, out["levi"])
     _record(8, "CR integrability spot check on both charts",

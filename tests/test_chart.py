@@ -1,11 +1,18 @@
+import pathlib
+import pickle
+
 import numpy as np
 import pytest
 
 from qclab import exprlang
-from qclab.catalog import conformal, heisenberg
+from qclab.catalog import conformal, get_chart, heisenberg, load_config
 from qclab.chart import (FrameJet, QCChart, frame_field, lie_bracket,
                          recover_structure, reeb_solve)
-from qclab.errors import BiquardConditionFail, DegenerateCoframe
+from qclab.errors import (BiquardConditionFail, ChartError, DegenerateCoframe,
+                          EvalDomainError, NotPositive)
+
+EINSTEIN = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+            / "qc_einstein.qc")
 
 
 @pytest.fixture(scope="module")
@@ -233,3 +240,98 @@ def test_cartan_formula_links_brackets_to_differential(h1_deformed):
                              for s in range(3)])
             worst = max(worst, np.abs(lhs - rhs).max())
     assert worst <= 1e-7
+
+
+def _benchmark_charts():
+    return [get_chart("heisenberg-1"), get_chart("heisenberg-2"),
+            get_chart("heisenberg-1-conformal"),
+            load_config(str(EINSTEIN), validate=False)[0]]
+
+
+@pytest.mark.parametrize("chart", _benchmark_charts(), ids=lambda c: c.name)
+def test_stacked_frames_match_single_point_frames(chart):
+    rng = np.random.default_rng(12)
+    u = chart.sample_points(1, seed=12)[0]
+    pivots = frame_field(chart, u).pivot_order
+    stack = u + 1e-3 * rng.standard_normal((6, chart.m))
+    frames = frame_field(chart, stack, pivot_order=pivots)
+    assert len(frames) == len(stack)
+    for row, stacked in zip(stack, frames):
+        single = frame_field(chart, row, pivot_order=pivots)
+        assert np.array_equal(stacked.point, row)
+        for a, b in ((stacked.eH, single.eH), (stacked.xi, single.xi),
+                     (np.array(list(stacked.I)), np.array(list(single.I))),
+                     (stacked.g_coord, single.g_coord)):
+            assert np.abs(a - b).max() <= 1e-12
+
+
+def _log_factor_chart():
+    # log(u1 + 1.5) is negative for u1 < -0.5 and undefined below -1.5
+    mu = exprlang.parse("log(u1 + 1.5)", 7)
+    return QCChart(n=1, coeffs=tuple(tuple(exprlang.Mul(mu, c) for c in row)
+                                     for row in heisenberg(1).coeffs))
+
+
+def test_stacked_evaluation_names_the_failing_row():
+    chart = _log_factor_chart()
+    stack = np.zeros((4, 7))
+    stack[:, 0] = [0.0, 0.3, -2.0, -3.0]
+    for evaluate in (chart.eval_coframe, chart.eval_dcoframe):
+        with pytest.raises(EvalDomainError) as info:
+            evaluate(stack)
+        assert "log of a non-positive value" in str(info.value)
+        assert info.value.point == [-2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+
+
+def test_stacked_frames_raise_what_row_order_raises_first():
+    # row 2 leaves the domain, but row 1 (negative factor, so a negative
+    # definite metric) fails first in row order
+    chart = _log_factor_chart()
+    stack = np.zeros((3, 7))
+    stack[:, 0] = [0.0, -1.0, -2.0]
+    with pytest.raises(NotPositive) as info:
+        frame_field(chart, stack)
+    assert info.value.point == list(stack[1])
+
+
+def test_jet_failure_names_the_displaced_point():
+    # the factor u1 + 1.5 is positive at the base point and negative one
+    # step down u1
+    chart = conformal(heisenberg(1), "u1 + 1.5")
+    u = np.array([-1.495, 0.1, 0.2, -0.1, 0.3, 0.0, 0.1])
+    frame = frame_field(chart, u)
+    with pytest.raises(NotPositive) as info:
+        FrameJet(chart, frame, h=0.01)
+    expected = u.copy()
+    expected[0] -= 0.01
+    assert info.value.point == list(expected)
+
+
+@pytest.mark.parametrize("chart", _benchmark_charts(), ids=lambda c: c.name)
+def test_chart_survives_pickling(chart):
+    clone = pickle.loads(pickle.dumps(chart))
+    points = chart.sample_points(3, seed=5)
+    assert np.array_equal(clone.eval_coframe(points),
+                          chart.eval_coframe(points))
+    assert np.array_equal(clone.eval_dcoframe(points),
+                          chart.eval_dcoframe(points))
+    assert np.array_equal(frame_field(clone, points[0]).eH,
+                          frame_field(chart, points[0]).eH)
+
+
+def test_tape_shares_repeated_subexpressions():
+    # the conformal factor is compiled once, not once per coefficient, and
+    # each distinct coefficient is multiplied by it once
+    base = heisenberg(1)
+    mu = exprlang.parse("exp(0.2*u1)", 7)
+    chart = conformal(base, mu)
+    unscaled = exprlang.Tape([c for row in base.coeffs for c in row] + [mu], 7)
+    assert len(chart.tape.code) == \
+        len(unscaled.code) + len(set(base.tape.outputs))
+
+
+def test_error_point_is_plain_floats():
+    exc = ChartError("x", point=np.array([0.5, -1.25]))
+    assert "at point [0.5, -1.25]" in str(exc)
+    assert exc.point == [0.5, -1.25]
+    assert all(type(c) is float for c in exc.point)

@@ -206,3 +206,13 @@ def test_domain_error_names_the_point(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "log of a non-positive value" in err
     assert "-2.5" in err
+
+
+def test_fiber_flag_belongs_to_fibre_commands(capsys):
+    # validate and invariants have no fibre points, so no --fiber flag
+    for command in ("invariants", "validate"):
+        code, out = run_cli(command, "--chart", "heisenberg-1", "--points",
+                            "1", "--fiber", "3")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --fiber" in capsys.readouterr().err

@@ -156,3 +156,21 @@ def test_whitespace_insensitive():
     a = exprlang.parse("u1 * u2+ 1", 2)
     b = exprlang.parse("u1*u2+1", 2)
     assert exprlang.evaluate(a, [1.5, 2.0]) == exprlang.evaluate(b, [1.5, 2.0])
+
+
+def test_constant_valued_subexpression_has_zero_gradient():
+    # u1^0 depends on u1 in form only: its value and gradient are exact
+    e = exprlang.parse("-((u1^1)^0)^-1", 1)
+    value, g = exprlang.value_and_grad(e, [0.5])
+    assert value == -1.0
+    assert g.tolist() == [0.0]
+
+
+def test_stacked_evaluation_matches_points():
+    rng = np.random.default_rng(3)
+    e = exprlang.parse("exp(sin(u1)*u2) / (2 + tanh(u3))^2", 3)
+    points = rng.uniform(-1, 1, (6, 3))
+    values, grads = exprlang.Tape([e], 3).values_and_grads(points)
+    assert np.array_equal(values[:, 0],
+                          [exprlang.evaluate(e, p) for p in points])
+    assert np.array_equal(grads[:, 0], [exprlang.grad(e, p) for p in points])

@@ -1,7 +1,8 @@
 """The frozen-pivot stage: the base point's frame, connection and
 curvature, and each displaced-point frame and connection, are built once per
 base point, memoised by the exact point.  The frame counts below pin how
-much work one base point costs."""
+much work one base point costs: the points at which the coframe is
+evaluated, whether one at a time or stacked."""
 
 import pathlib
 
@@ -24,23 +25,32 @@ EINSTEIN = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 @pytest.fixture
 def frame_count(monkeypatch):
-    """Frames built so far: every frame evaluates the coframe once."""
-    calls = []
+    """Frames built so far: every frame evaluates the coframe once, at its
+    own row of a stacked evaluation."""
+    rows = []
     original = QCChart.eval_coframe
 
     def counting(self, u):
-        calls.append(1)
+        rows.append(np.asarray(u).reshape(-1, self.m).shape[0])
         return original(self, u)
 
     monkeypatch.setattr(QCChart, "eval_coframe", counting)
-    return lambda: len(calls)
+    return lambda: sum(rows)
 
 
 def test_base_point_frame_count(frame_count):
-    # base connection 15, full stencil 14 x 15, and six tau-stencil centres
-    # shared with it, each adding a horizontal stencil of 8 x 15
+    # base connection 15; the full stencil at h and at h/2, 2 x 14 x 15; and
+    # at each step six tau-stencil centres shared with it, each adding a
+    # horizontal stencil of 8 x 15
     tw.base_point_data(heisenberg(1), POINT1)
-    assert frame_count() == 945
+    assert frame_count() == 1875
+
+
+def test_n2_base_point_frame_count(frame_count):
+    # as for n = 1 with 23 frames per connection: 1 + 2 x 22 + 12 x 16
+    # connections
+    tw.base_point_data(heisenberg(2), POINT2)
+    assert frame_count() == 5451
 
 
 def test_invariants_frame_count(frame_count):
@@ -51,26 +61,34 @@ def test_invariants_frame_count(frame_count):
 
 def test_rotated_pipeline_frame_count(frame_count):
     # the rotated chart's base point costs what base_point_data's does,
-    # less the tau stencils along xi_2 and xi_3: 945 - 2 x 8 x 15
+    # less the tau stencils along xi_2 and xi_3 at both steps:
+    # 1875 - 4 x 8 x 15
     tw.lie_chi_G(heisenberg(1), POINT1, FIBRE / np.linalg.norm(FIBRE))
-    assert frame_count() == 465
+    assert frame_count() == 915
 
 
 def test_oracle_frame_count(frame_count):
-    x = FIBRE / np.linalg.norm(FIBRE)
-    chart = heisenberg(1)
-    report = tw.lie_chi_G(chart, POINT1, x)
-    before = frame_count()
-    tw.normality_direct_oracle(chart, POINT1, x, sample_pairs=2,
-                               report=report)
-    assert frame_count() - before == 615
+    # The oracle shares the base point's stage.  The first fibre point adds
+    # the coordinate steps (14 connections), the two steps along the Reeb
+    # lift and tau's horizontal stencils there: (14 + 2 + 2 x 8) x 15; a
+    # second fibre point reuses the coordinate steps.
+    chart = conformal(heisenberg(1), "exp(0.2*u1)")
+    base = tw.base_point_data(chart, POINT1)
+    for x, cost in ((FIBRE / np.linalg.norm(FIBRE), 480),
+                    (tw.fibonacci_sphere(2)[1], 270)):
+        before = frame_count()
+        tw.normality_direct_oracle(base.stage, x, sample_pairs=2,
+                                   report=tw.report_from_base(base, x))
+        assert frame_count() - before == cost
 
 
 def test_identity_suite_frame_count(frame_count):
-    # base_point_data plus the two sphere-bundle oracles
+    # base_point_data plus the two sphere-bundle oracles on its stage; on
+    # this flat chart xi_s = 2 d/dt_s, so the h/2 steps along xi_s land on
+    # six of the oracles' coordinate steps: 1875 + 480 - 6 x 15
     suite.identity_suite(heisenberg(1), POINT1, FIBRE / np.linalg.norm(FIBRE),
                          cr_pairs=1)
-    assert frame_count() == 1725
+    assert frame_count() == 2085
 
 
 def _benchmark_charts():
@@ -115,4 +133,17 @@ def test_cache_is_keyed_by_the_exact_point():
     fresh = FrozenPivotStage(chart, POINT1)
     assert np.array_equal(fresh.connection(p).stacked_matrices(),
                           conn.stacked_matrices())
-    assert stage.scal(p) == scal_at(fresh, p)
+    h = stage.steps.curv
+    assert stage.scal(p, h) == scal_at(fresh, p, h)
+    assert stage.scal(p, h / 2) != stage.scal(p, h)
+
+
+def test_einstein_chart_is_normal_at_the_stage_point():
+    # qc-Einstein: tau = 4, T0 = 0.  The extrapolated curvature puts the
+    # verdict on the normal side (single-step, the O(h^2) truncation left
+    # a residual near 8e-4).
+    chart = load_config(str(EINSTEIN), validate=False)[0]
+    base = tw.base_point_data(chart, POINT1)
+    reports = [tw.report_from_base(base, x) for x in tw.fibonacci_sphere(8)]
+    assert [r.verdict for r in reports] == ["normal"] * 8
+    assert max(r.normality_residual for r in reports) <= 1e-5

@@ -43,6 +43,10 @@ def test_tracer_binds_every_layer_and_restores_it():
                   "curvature.curvature_at_point", "curvature.scal_at",
                   "twistor.base_point_data"):
         assert layer in names
-    assert names.count("curvature.scal_at") == 6
+    # six tau-stencil ends at each of the steps h and h/2
+    assert names.count("curvature.scal_at") == 12
+    # frame_field calls, not frames: one per frame of the 125 connections
+    # and one stacked call per connection for its jet's 14 displaced frames
+    # (1875 frames)
     assert tracer_mod.frames_per_point_span(tracer.spans) == {
-        "twistor.base_point_data": [945]}
+        "twistor.base_point_data": [250]}

@@ -4,6 +4,7 @@ import pytest
 from qclab import twistor as tw
 from qclab.catalog import conformal, heisenberg
 from qclab.chart import frame_field
+from qclab.curvature import FrozenPivotStage
 
 RNG = np.random.default_rng(41)
 POINT = RNG.uniform(-1, 1, 7)
@@ -182,7 +183,7 @@ def test_differential_reeb_pair_vanishes_at_zero_tau(flat_ctx):
 
 
 def test_differential_fd_oracle_flat(h1):
-    assert tw.d_eta_Z_fd_oracle(h1, POINT, FIBRE) <= 1e-5
+    assert tw.d_eta_Z_fd_oracle(FrozenPivotStage(h1, POINT), FIBRE) <= 1e-5
 
 
 def test_differential_fd_oracle_recovers_tau_term(deformed, deformed_ctx):
@@ -193,7 +194,8 @@ def test_differential_fd_oracle_recovers_tau_term(deformed, deformed_ctx):
     w3 = tw.TwistorTangent(np.zeros(4), rot[2], np.zeros(3))
     slot = tw.d_eta_Z(deformed_ctx, w2, w3)
     assert slot == pytest.approx(-2.0 * deformed_ctx.tau, abs=1e-10)
-    assert tw.d_eta_Z_fd_oracle(deformed, POINT, FIBRE) <= 1e-5
+    assert tw.d_eta_Z_fd_oracle(FrozenPivotStage(deformed, POINT),
+                                FIBRE) <= 1e-5
 
 
 # --- normality reports -------------------------------------------------------
@@ -258,7 +260,8 @@ def test_fibonacci_sphere_deterministic_unit():
 # --- oracles ------------------------------------------------------------------
 
 def test_direct_oracle_flat(h1):
-    out = tw.normality_direct_oracle(h1, POINT, FIBRE, sample_pairs=10, seed=3)
+    out = tw.normality_direct_oracle(FrozenPivotStage(h1, POINT), FIBRE,
+                                     sample_pairs=10, seed=3)
     assert out["max_deviation"] <= 1e-4
     assert out["slot_deviation"] <= 1e-4
     # vertical-vertical pairs vanish directly
@@ -266,15 +269,17 @@ def test_direct_oracle_flat(h1):
 
 
 def test_direct_oracle_deformed(deformed, deformed_report):
-    out = tw.normality_direct_oracle(deformed, POINT, FIBRE, sample_pairs=20,
-                                     seed=3, report=deformed_report)
+    out = tw.normality_direct_oracle(FrozenPivotStage(deformed, POINT), FIBRE,
+                                     sample_pairs=20, seed=3,
+                                     report=deformed_report)
     assert out["max_deviation"] <= 1e-4
     assert np.abs(out["direct"]).max() >= 1e-3  # values genuinely large
     assert np.abs(out["direct"][-2:, -2:]).max() <= 1e-5
 
 
 def test_cr_integrability_flat(h1):
-    out = tw.cr_nijenhuis_residual(h1, POINT, FIBRE, sample_pairs=5, seed=5)
+    out = tw.cr_nijenhuis_residual(FrozenPivotStage(h1, POINT), FIBRE,
+                                   sample_pairs=5, seed=5)
     assert out["nijenhuis"] <= 1e-4
     assert out["levi"] <= 1e-5
 
@@ -282,15 +287,15 @@ def test_cr_integrability_flat(h1):
 def test_cr_integrability_deformed(deformed):
     # integrability holds for every quaternionic contact structure, with or
     # without torsion
-    out = tw.cr_nijenhuis_residual(deformed, POINT, FIBRE, sample_pairs=5,
-                                   seed=5)
+    out = tw.cr_nijenhuis_residual(FrozenPivotStage(deformed, POINT), FIBRE,
+                                   sample_pairs=5, seed=5)
     assert out["nijenhuis"] <= 1e-4
     assert out["levi"] <= 1e-5
 
 
 def test_cr_negative_control(h1):
-    out = tw.cr_nijenhuis_residual(h1, POINT, FIBRE, sample_pairs=5, seed=5,
-                                   flip_vertical=True)
+    out = tw.cr_nijenhuis_residual(FrozenPivotStage(h1, POINT), FIBRE,
+                                   sample_pairs=5, seed=5, flip_vertical=True)
     assert out["nijenhuis"] > 1e-1
 
 
