@@ -9,21 +9,25 @@ endomorphisms live.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 
-def _check_square(A):
+def _check_square(A, stacked=False):
+    """A as a float array: one square 4n x 4n matrix, or with ``stacked``
+    a stack of them (shape (..., 4n, 4n))."""
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or (A.ndim != 2 and not stacked) \
+            or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if A.shape[0] % 4 != 0 or A.shape[0] == 0:
-        raise ValueError(f"matrix size {A.shape[0]} is not 4n")
+    if A.shape[-1] % 4 != 0 or A.shape[-1] == 0:
+        raise ValueError(f"matrix size {A.shape[-1]} is not 4n")
     return A
 
 
 def _check_same_size(*mats):
-    sizes = {np.asarray(M).shape for M in mats}
+    sizes = {np.asarray(M).shape[-2:] for M in mats}
     if len(sizes) != 1:
         raise ValueError(f"size mismatch: {sorted(sizes)}")
 
@@ -36,18 +40,14 @@ def endo_inner(A, B):
     return float(np.vdot(A, B)) / A.shape[0]
 
 
-def endo_norm(A):
-    return endo_inner(A, A) ** 0.5
-
-
 def sym_part(A):
     A = np.asarray(A, dtype=float)
-    return 0.5 * (A + A.T)
+    return 0.5 * (A + np.swapaxes(A, -1, -2))
 
 
 def skew_part(A):
     A = np.asarray(A, dtype=float)
-    return 0.5 * (A - A.T)
+    return 0.5 * (A - np.swapaxes(A, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,11 @@ class QuaternionTriple:
     @property
     def dim(self):
         return self.I1.shape[0]
+
+    @cached_property
+    def stack(self):
+        """The three matrices as one (3, 4n, 4n) array."""
+        return np.stack((self.I1, self.I2, self.I3))
 
     @property
     def n(self):
@@ -141,12 +146,13 @@ class FourPartSplit:
 
 
 def four_part_decompose(psi, triple):
-    """Split psi by commutation signs with the quaternion triple.
+    """Split psi (a matrix or a stack of them) by commutation signs with
+    the quaternion triple.
 
     4 psi^{+++} = psi - I1 psi I1 - I2 psi I2 - I3 psi I3, and the other
     three parts flip the sign in front of two of the conjugated terms.
     """
-    psi = _check_square(psi)
+    psi = _check_square(psi, stacked=True)
     _check_same_size(psi, triple.I1)
     conj = [Is @ psi @ Is for Is in triple]
     p_ppp = 0.25 * (psi - conj[0] - conj[1] - conj[2])
@@ -168,50 +174,48 @@ def four_part_max_residual(split, triple):
 
 def project_sp1(psi, triple):
     """Coefficients (<psi, I1>, <psi, I2>, <psi, I3>) of the orthogonal
-    projection of psi onto span{I1, I2, I3}."""
-    psi = _check_square(psi)
+    projection of psi onto span{I1, I2, I3}; for a stack of matrices, a
+    stack of coefficient triples."""
+    psi = _check_square(psi, stacked=True)
     _check_same_size(psi, triple.I1)
-    return np.array([endo_inner(psi, Is) for Is in triple])
+    return np.einsum("...ij,tij->...t", psi, triple.stack) / triple.dim
 
 
 def sp1_component(psi, triple):
-    return triple.combine(project_sp1(psi, triple))
+    return np.einsum("...t,tij->...ij", project_sp1(psi, triple),
+                     triple.stack)
 
 
 def project_P(psi, triple):
     """Orthogonal projection onto P = {skew endomorphisms commuting with the
     whole triple}: the skew part of the fully commuting component."""
-    psi = _check_square(psi)
-    _check_same_size(psi, triple.I1)
     return skew_part(four_part_decompose(psi, triple).p_ppp)
 
 
 def project_torsion_space(psi, triple):
     """Component of psi orthogonal to both P and span{I_s} (the space where
     torsion endomorphisms live)."""
-    psi = _check_square(psi)
+    psi = _check_square(psi, stacked=True)
     return psi - project_P(psi, triple) - sp1_component(psi, triple)
 
 
 def torsion_skew_basis(triple):
     """Orthonormal (trace inner product) basis of the skew part of the
-    torsion space.  Empty for n = 1, where so(4) = sp(1) + P exactly."""
+    torsion space, as a (k, 4n, 4n) array: the right singular vectors of
+    the projected elementary skew matrices, cut at a relative 1e-8.  Empty
+    for n = 1, where so(4) = sp(1) + P exactly."""
     dim = triple.dim
     if dim == 4:
-        return []
-    basis = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            S = np.zeros((dim, dim))
-            S[i, j] = 1.0
-            S[j, i] = -1.0
-            cand = project_torsion_space(S, triple)
-            for prev in basis:
-                cand = cand - endo_inner(cand, prev) * prev
-            nrm = endo_norm(cand)
-            if nrm > 1e-8:
-                basis.append(cand / nrm)
-    return basis
+        return np.zeros((0, dim, dim))
+    i, j = np.triu_indices(dim, 1)
+    S = np.zeros((len(i), dim, dim))
+    S[np.arange(len(i)), i, j] = 1.0
+    S[np.arange(len(i)), j, i] = -1.0
+    _, sv, Vt = np.linalg.svd(
+        project_torsion_space(S, triple).reshape(len(i), -1),
+        full_matrices=False)
+    rank = int(np.count_nonzero(sv > 1e-8 * sv[0]))
+    return np.sqrt(dim) * Vt[:rank].reshape(rank, dim, dim)
 
 
 def v_cross(a, b):

@@ -27,7 +27,7 @@ from .errors import (BiquardConditionFail, ChartError, DegenerateCoframe,
                      NotPositive, NotQuaternionic)
 from .tolerances import DEFAULT_STEPS, DEFAULT_TOLERANCES
 
-# GS pivots: relative tie snap for seed norms, and drop threshold for
+# GS pivots: relative tie snap for residual norms, and drop threshold for
 # near-degenerate seed directions.
 _PIVOT_TIE = 1e-6
 _PIVOT_DROP = 1e-8
@@ -374,11 +374,13 @@ def frame_field(chart, u, pivot_order=None, tol=DEFAULT_TOLERANCES):
 
     Seeds are the coordinate axes projected to H along the vertical space;
     they are Gram-Schmidt orthonormalized under the recovered metric.  The
-    pivot order takes seeds by descending metric norm (norms tied within a
+    pivot order takes, at each step, the remaining seed with the largest
+    metric norm of its residual (column pivoting; residuals tied within a
     relative 1e-6 keep coordinate order), which makes the construction
-    deterministic and smooth in u away from pivot switches.  Passing a
-    precomputed ``pivot_order`` freezes the choice, which keeps the frame
-    smooth across the small displacements used by finite differencing.
+    deterministic, well conditioned and smooth in u away from pivot
+    switches.  Passing a precomputed ``pivot_order`` freezes the choice,
+    which keeps the frame smooth across the small displacements used by
+    finite differencing.
 
     A stack raises what building its frames one by one, in row order, would
     raise first: the error of the first failing point.
@@ -410,59 +412,65 @@ def _frames(chart, U, pivot_order, tol):
 
     # seeds in null-space coordinates: columns of N^T (Id - xi C)
     proj = np.eye(m) - reeb.xi @ C
-    seeds = _swap(N) @ proj  # (P, 4n, m): column r = the r-th seed
+    residuals = _swap(N) @ proj  # (P, 4n, m): column r = the r-th seed
 
-    norms = np.sqrt(np.maximum(
-        np.einsum("pir,pij,pjr->pr", seeds, G, seeds), 0.0))
-    top = norms.max(axis=1)
+    def norms():
+        return np.sqrt(np.maximum(
+            np.einsum("pir,pij,pjr->pr", residuals, G, residuals), 0.0))
+
+    nrm = norms()
+    top = nrm.max(axis=1)
     if pivot_order is None:
         _raise_first(U, (top <= 0.0, DegenerateCoframe,
                          "all seed projections vanish", None))
-        keys = np.round(norms / (top[:, None] * _PIVOT_TIE))
-        orders = np.argsort(-keys, axis=1, kind="stable")
     else:
-        orders = np.broadcast_to(np.asarray(pivot_order, dtype=int),
-                                 (count, len(pivot_order)))
+        pivot_order = np.asarray(pivot_order, dtype=int)
 
-    # Gram-Schmidt over the points at once; each point accepts its seeds
-    # in its own pivot order until it holds 4n directions
-    ordered = np.take_along_axis(seeds, orders[:, None, :], axis=2)
+    # Gram-Schmidt over the points at once, projecting every seed's
+    # residual on each accepted direction; the free order takes the seed
+    # with the largest residual (column pivoting)
     Q = np.zeros((count, fourn, fourn))     # accepted directions (columns)
-    QG = np.zeros((count, fourn, fourn))    # their rows q^T G
-    accepted = np.zeros(count, dtype=int)
     used = np.zeros((count, fourn), dtype=int)
+    built = np.full(count, fourn)           # directions built before a drop
     points = np.arange(count)
-    for j in range(orders.shape[1]):
-        live = accepted < fourn
-        if not live.any():
-            break
-        y = ordered[:, :, j].copy()
-        for i in range(accepted.max()):
-            y -= np.einsum("pi,pi->p", QG[:, i], y)[:, None] * Q[:, :, i]
-        with np.errstate(invalid="ignore"):
-            nrm = np.sqrt(np.einsum("pi,pij,pj->p", y, G, y))
-        take = live & (nrm > _PIVOT_DROP * top)
-        rows, slots = points[take], accepted[take]
-        Q[rows, :, slots] = y[take] / nrm[take, None]
-        QG[rows, slots] = np.einsum("pi,pij->pj", Q[rows, :, slots], G[take])
-        used[rows, slots] = orders[take, j]
-        accepted += take
-    short = np.flatnonzero(accepted < fourn)
+    taken = np.zeros((count, m), dtype=bool)
+    for j in range(fourn):
+        if pivot_order is None:
+            left = np.where(taken, -1.0, nrm)
+            best = left.max(axis=1, keepdims=True)
+            pick = np.argmax(left >= (1.0 - _PIVOT_TIE) * best, axis=1)
+        else:
+            pick = np.full(count, pivot_order[j])
+        size = nrm[points, pick]
+        drop = (size <= _PIVOT_DROP * top) & (built == fourn)
+        built[drop] = j
+        q = residuals[points, :, pick] / np.where(built > j, size, 1.0)[:, None]
+        Q[:, :, j] = q
+        used[:, j] = pick
+        taken[points, pick] = True
+        residuals = residuals - q[:, :, None] * np.einsum(
+            "pi,pij,pjr->pr", q, G, residuals)[:, None, :]
+        nrm = norms()
+    short = np.flatnonzero(built < fourn)
     if short.size:
         k = short[0]
         raise DegenerateCoframe(
-            f"could only build {accepted[k]} of {fourn} frame directions",
+            f"could only build {built[k]} of {fourn} frame directions",
             point=U[k])
 
     eH = N @ Q                             # (P, m, 4n)
     Imats = (_swap(Q) @ G)[:, None] @ structure.imatrices @ Q[:, None]
     g_coord = _swap(proj) @ (N @ G @ _swap(N)) @ proj + _swap(C) @ C
 
-    return [PointFrame(point=U[k], eH=eH[k], xi=reeb.xi[k],
-                       I=QuaternionTriple(*Imats[k]),
+    # each frame owns copies of its rows, so a kept frame does not pin the
+    # whole stack
+    return [PointFrame(point=U[k].copy(), eH=eH[k].copy(),
+                       xi=reeb.xi[k].copy(),
+                       I=QuaternionTriple(*Imats[k].copy()),
                        reeb_residual=float(reeb.residual[k]),
-                       coframe=C[k], dcoframe=structure.dcoframe[k],
-                       g_coord=g_coord[k],
+                       coframe=C[k].copy(),
+                       dcoframe=structure.dcoframe[k].copy(),
+                       g_coord=g_coord[k].copy(),
                        pivot_order=tuple(used[k].tolist()))
             for k in range(count)]
 
@@ -484,38 +492,45 @@ def lie_bracket(chart, x_fn, y_fn, u, h=None):
     return jy @ np.asarray(x_fn(u)) - jx @ np.asarray(y_fn(u))
 
 
+def jet_points(u, h):
+    """The 2m displaced points of a frame jet at u, in the order +e_1, -e_1,
+    +e_2, ...: shape (2m, m)."""
+    u = np.asarray(u, dtype=float)
+    step = h * np.eye(u.shape[0])
+    displaced = np.empty((2 * u.shape[0], u.shape[0]))
+    displaced[0::2] = u + step
+    displaced[1::2] = u - step
+    return displaced
+
+
 class FrameJet:
     """Frame at a point together with coordinate Jacobians of all frame
     fields and of the triple matrices, from central differences of step
-    ``h`` with the frame's pivots frozen.  Everything downstream (brackets,
-    vertical derivatives of the triple, structure functions) is algebraic in
-    this data."""
+    ``h`` over the frames ``displaced`` at ``jet_points(frame.point, h)``
+    (built with the frame's pivots frozen), and every bracket of two frame
+    fields.  Everything downstream (brackets, vertical derivatives of the
+    triple, structure functions) is algebraic in this data."""
 
-    def __init__(self, chart, frame, h=DEFAULT_STEPS.fd,
-                 tol=DEFAULT_TOLERANCES):
+    def __init__(self, chart, frame, displaced, h):
         self.chart = chart
         self.h = h
         self.frame = frame
-        u = frame.point
-        m = chart.m
-        pivots = self.frame.pivot_order
-
-        # displaced points in the order +e_1, -e_1, +e_2, ...: one stacked
-        # frame evaluation
-        step = h * np.eye(m)
-        displaced = np.empty((2 * m, m))
-        displaced[0::2] = u + step
-        displaced[1::2] = u - step
-        frames = frame_field(chart, displaced, pivot_order=pivots, tol=tol)
 
         def derivative(arrays):
             # d/du_r in the last slot
             stacked = np.array(arrays)
             return np.moveaxis((stacked[0::2] - stacked[1::2]) / (2 * h), 0, -1)
 
-        self.d_eH = derivative([f.eH for f in frames])      # (m, 4n, m)
-        self.d_xi = derivative([f.xi for f in frames])      # (m, 3, m)
-        self.d_I = derivative([list(f.I) for f in frames])  # (3, 4n, 4n, m)
+        self.d_eH = derivative([f.eH for f in displaced])      # (m, 4n, m)
+        self.d_xi = derivative([f.xi for f in displaced])      # (m, 3, m)
+        self.d_I = derivative([list(f.I) for f in displaced])  # (3, 4n, 4n, m)
+
+        # brackets[:, alpha, beta] = [f_alpha, f_beta] = J_beta f_alpha -
+        # J_alpha f_beta, from JV[:, alpha, beta] = J_alpha f_beta
+        fields = np.concatenate([frame.eH, frame.xi], axis=1)
+        jacobians = np.concatenate([self.d_eH, self.d_xi], axis=1)
+        JV = jacobians @ fields
+        self.brackets = _swap(JV) - JV                          # (m, m, m)
 
     @property
     def m(self):
@@ -532,17 +547,9 @@ class FrameJet:
             return self.frame.eH[:, alpha]
         return self.frame.xi[:, alpha - fourn]
 
-    def field_jacobian(self, alpha):
-        fourn = self.fourn
-        if alpha < fourn:
-            return self.d_eH[:, alpha, :]
-        return self.d_xi[:, alpha - fourn, :]
-
     def bracket(self, alpha, beta):
         """[f_alpha, f_beta] at the base point, as a coordinate vector."""
-        va = self.field_value(alpha)
-        vb = self.field_value(beta)
-        return self.field_jacobian(beta) @ va - self.field_jacobian(alpha) @ vb
+        return self.brackets[:, alpha, beta]
 
     def directional_I(self, s, vector):
         """Directional derivative of the frame matrix field of I_s along a

@@ -29,17 +29,23 @@ from .errors import QPreservationFail, TorsionStructureFail
 from .tolerances import DEFAULT_TOLERANCES
 
 
+def _swap(a):
+    return np.swapaxes(a, -1, -2)
+
+
+def _h_brackets(jet):
+    """hc[c, alpha, beta] = g([f_alpha, f_beta]_H, e_c) for every pair of
+    frame fields."""
+    fr = jet.frame
+    m = jet.m
+    return (fr.eH.T @ fr.g_coord @ jet.brackets.reshape(m, m * m)).reshape(
+        jet.fourn, m, m)
+
+
 def _horizontal_brackets(jet):
     """brhh[a, b, c] = g([e_a, e_b]_H, e_c)."""
     fourn = jet.fourn
-    brhh = np.empty((fourn, fourn, fourn))
-    for a in range(fourn):
-        brhh[a, a] = 0.0
-        for b in range(a + 1, fourn):
-            hc = jet.frame.h_components(jet.bracket(a, b))
-            brhh[a, b] = hc
-            brhh[b, a] = -hc
-    return brhh
+    return _h_brackets(jet)[:, :fourn, :fourn].transpose(1, 2, 0)
 
 
 def _koszul(brhh):
@@ -55,12 +61,22 @@ def horizontal_partial(jet):
 
 
 def _horizontal_residuals(gamma, brhh):
-    fourn = gamma.shape[0]
-    metricity = max(np.abs(gamma[a] + gamma[a].T).max() for a in range(fourn))
     # gamma[a][:, b] - gamma[b][:, a] - [e_a, e_b]_H; antisymmetric in (a, b)
     torsion = gamma.transpose(0, 2, 1) - gamma.transpose(2, 0, 1) - brhh
-    return {"metricity_H": float(metricity),
+    return {"metricity_H": float(np.abs(gamma + _swap(gamma)).max()),
             "torsion_H": float(np.abs(torsion).max())}
+
+
+def _reeb_derivatives_of_I(jet):
+    """dI[t, s] = derivative of the frame matrix of I_s along xi_t."""
+    return (jet.d_I @ jet.frame.xi).transpose(3, 0, 1, 2)
+
+
+def _commutators(M, triple):
+    """[M, I_t] for t = 1, 2, 3: shape (..., 3, 4n, 4n) for M (..., 4n, 4n)."""
+    M = M[..., None, :, :]
+    I = triple.stack
+    return M @ I - I @ M
 
 
 def vertical_on_H(jet, tol=DEFAULT_TOLERANCES):
@@ -72,41 +88,27 @@ def vertical_on_H(jet, tol=DEFAULT_TOLERANCES):
     fourn = jet.fourn
     triple = frame.I
 
-    B = np.empty((3, fourn, fourn))
-    for s in range(3):
-        for a in range(fourn):
-            B[s][:, a] = frame.h_components(jet.bracket(fourn + s, a))
+    # B[s][:, a] = [xi_s, e_a]_H
+    B = _h_brackets(jet)[:, fourn:, :fourn].transpose(1, 0, 2)
 
     def off_sp1(M):
         return M - sp1_component(M, triple)
 
-    # the torsion-skew basis mapped through [., I_t], off sp(1): the same
-    # for every s
+    skew_b = skew_part(B)
+    base = project_P(skew_b, triple) + sp1_component(skew_b, triple)
+    rhs = -off_sp1(_reeb_derivatives_of_I(jet)
+                   + _commutators(base, triple)).reshape(3, -1)
+    # least squares over the torsion-skew basis mapped through [., I_t],
+    # off sp(1): one matrix for every s
     basis = torsion_skew_basis(triple)
-    if basis:
-        cols = np.column_stack([
-            np.concatenate([
-                off_sp1(E @ triple[t] - triple[t] @ E).ravel()
-                for t in range(3)])
-            for E in basis])
-    C = np.empty_like(B)
-    q_residual = 0.0
-    for s in range(3):
-        skew_b = skew_part(B[s])
-        base = project_P(skew_b, triple) + sp1_component(skew_b, triple)
-        dI0 = [jet.directional_I(t, frame.xi[:, s]) for t in range(3)]
-        rhs = np.concatenate([
-            -off_sp1(dI0[t] + base @ triple[t] - triple[t] @ base).ravel()
-            for t in range(3)])
-        if basis:
-            coeffs, _, _, _ = np.linalg.lstsq(cols, rhs, rcond=None)
-            extra = sum(c * E for c, E in zip(coeffs, basis))
-            res = np.abs(cols @ coeffs - rhs).max()
-        else:
-            extra = np.zeros_like(base)
-            res = np.abs(rhs).max() if rhs.size else 0.0
-        C[s] = base + extra
-        q_residual = max(q_residual, float(res))
+    if len(basis):
+        images = off_sp1(_commutators(basis, triple)).reshape(len(basis), -1)
+        coeffs = rhs @ np.linalg.pinv(images, rtol=None)  # lstsq's cutoff
+        C = base + np.tensordot(coeffs, basis, axes=1)
+        q_residual = float(np.abs(coeffs @ images - rhs).max())
+    else:
+        C = base
+        q_residual = float(np.abs(rhs).max())
 
     if q_residual > tol.connection:
         raise QPreservationFail(
@@ -115,12 +117,9 @@ def vertical_on_H(jet, tol=DEFAULT_TOLERANCES):
 
     T = C - B
 
-    torsion_dir = max(
-        np.abs(project_torsion_space(T[s], triple) - T[s]).max()
-        for s in range(3))
-    trace = max(abs(np.trace(T[s])) for s in range(3))
-    trace_i = max(abs(np.trace(T[s] @ triple[t]))
-                  for s in range(3) for t in range(3))
+    torsion_dir = np.abs(project_torsion_space(T, triple) - T).max()
+    trace = np.abs(np.trace(T, axis1=1, axis2=2)).max()
+    trace_i = np.abs(np.einsum("sij,tji->st", T, triple.stack)).max()
     diagnostics = {
         "q_preservation": q_residual,
         "torsion_direction": float(torsion_dir),
@@ -142,37 +141,24 @@ def xi_derivatives(jet, C):
     Returns (nabla_xi_h, nabla_xi_v, alpha, diagnostics)."""
     frame = jet.frame
     fourn = jet.fourn
+    m = jet.m
     triple = frame.I
 
-    nabla_xi_h = np.empty((fourn, 3, 3))
-    for a in range(fourn):
-        for s in range(3):
-            nabla_xi_h[a, s] = frame.v_components(jet.bracket(a, fourn + s))
+    # nabla_xi_h[a, s] = eta([e_a, xi_s])
+    vc = (frame.coframe @ jet.brackets.reshape(m, m * m)).reshape(3, m, m)
+    nabla_xi_h = vc[:, :fourn, fourn:].transpose(1, 2, 0)
 
-    nabla_xi_v = np.empty((3, 3, 3))
-    phi_residual = 0.0
-    for t in range(3):
-        for s in range(3):
-            D = jet.directional_I(s, frame.xi[:, t]) \
-                + C[t] @ triple[s] - triple[s] @ C[t]
-            coeffs = project_sp1(D, triple)
-            nabla_xi_v[t, s] = coeffs
-            phi_residual = max(phi_residual, abs(coeffs[s]))
+    # nabla_xi_v[t, s] = sp(1) coefficients of grad_{xi_t} I_s
+    D = _reeb_derivatives_of_I(jet) + _commutators(C, triple)
+    nabla_xi_v = project_sp1(D, triple)
+    phi_residual = np.abs(np.diagonal(nabla_xi_v, axis1=1, axis2=2)).max()
 
     # V-metricity: the 3x3 matrix g(grad_A xi_s, xi_t) must be skew for each A
-    v_metric = 0.0
-    for a in range(fourn):
-        v_metric = max(v_metric, np.abs(nabla_xi_h[a] + nabla_xi_h[a].T).max())
-    for t in range(3):
-        v_metric = max(v_metric, np.abs(nabla_xi_v[t] + nabla_xi_v[t].T).max())
+    nabla_xi = np.concatenate([nabla_xi_h, nabla_xi_v])
+    v_metric = np.abs(nabla_xi + _swap(nabla_xi)).max()
 
-    alpha = np.empty((3, jet.m))
-    cyclic = {2: (0, 1), 0: (1, 2), 1: (2, 0)}  # alpha_k(A) = g(grad_A xi_i, xi_j)
-    for k, (i, j) in cyclic.items():
-        for a in range(fourn):
-            alpha[k, a] = nabla_xi_h[a, i, j]
-        for t in range(3):
-            alpha[k, fourn + t] = nabla_xi_v[t, i, j]
+    # alpha_k(A) = g(grad_A xi_i, xi_j) for (k, i, j) cyclic
+    alpha = nabla_xi[:, [1, 2, 0], [2, 0, 1]].T
 
     diagnostics = {"V_metricity": float(v_metric),
                    "phi_transfer": float(phi_residual)}

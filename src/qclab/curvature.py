@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import endo_inner
-from .chart import FrameJet, frame_field
+from .chart import FrameJet, frame_field, jet_points
 from .connection import connection_at_point
-from .errors import StepTooSmall
+from .errors import ChartError, EvalDomainError, StepTooSmall
 from .tolerances import DEFAULT_STEPS, DEFAULT_TOLERANCES
 
 
@@ -34,10 +34,13 @@ class FrozenPivotStage:
     with free pivots; its pivot order is frozen for every other point, and
     it seeds the cache (a frozen-pivot rebuild reproduces it bit for bit),
     so ``connection(u)`` serves the base point and the displaced points
-    alike.  Results are memoised by the exact point (its bytes), so a point
-    reached by two stencils is built once and a cache hit returns the
-    floats a recomputation would.  One stage serves one base point's work
-    and is dropped with it.
+    alike.  ``connections(points)`` builds the points not yet built from one
+    stacked frame evaluation (each point's centre frame and its 2m jet
+    frames), and the curvature stencils ask for both ends of a central
+    difference together.  Results are memoised by the exact point (its
+    bytes), so a point reached by two stencils is built once and a cache
+    hit returns the floats a recomputation would.  One stage serves one
+    base point's work and is dropped with it.
 
     The layer functions are called through their module-global names, never
     through stored references, so wrappers installed on them (profilers,
@@ -64,9 +67,53 @@ class FrozenPivotStage:
             self.chart, p, pivot_order=self.pivots, tol=self.tol))
 
     def connection(self, p):
-        return self._memo("connection", p, lambda p: connection_at_point(
-            FrameJet(self.chart, self.frame(p), self.steps.fd, self.tol),
-            self.tol))
+        return self.connections([p])[0]
+
+    def connections(self, points):
+        """Connections at a list of points, memoised like every result.
+        The points not yet built get their frames, each one's centre frame
+        (unless cached) followed by its 2m jet frames, from one stacked
+        ``frame_field`` call, and raise what building them one by one, in
+        order, would raise first."""
+        points = [np.asarray(p, dtype=float) for p in points]
+        todo = {}
+        for p in points:
+            if ("connection", p.tobytes()) not in self._cache:
+                todo.setdefault(p.tobytes(), p)
+        if todo:
+            self._build(list(todo.values()))
+        return [self._cache[("connection", p.tobytes())] for p in points]
+
+    def _build(self, points):
+        """Frames and connections at distinct points, none of them built."""
+        fd = self.steps.fd
+        jet_rows = 2 * self.chart.m
+        # per point: its centre unless the frame is cached, then its jet
+        blocks = [jet_points(p, fd) if ("frame", p.tobytes()) in self._cache
+                  else np.vstack([p, jet_points(p, fd)]) for p in points]
+        rows = np.concatenate(blocks)
+        try:
+            frames = frame_field(self.chart, rows, pivot_order=self.pivots,
+                                 tol=self.tol)
+        except (ChartError, EvalDomainError) as exc:
+            # the points before the failing row's point have sound frames;
+            # their connections may fail first
+            match = np.flatnonzero((rows == np.asarray(exc.point)).all(axis=1))
+            ends = np.cumsum([len(block) for block in blocks])
+            before = np.searchsorted(ends, match[0], side="right") \
+                if len(match) else 0
+            if before:
+                self._build(points[:before])
+            raise
+        frames = iter(frames)
+        for p, block in zip(points, blocks):
+            key = p.tobytes()
+            if len(block) > jet_rows:
+                self._cache[("frame", key)] = next(frames)
+            displaced = [next(frames) for _ in range(jet_rows)]
+            self._cache[("connection", key)] = connection_at_point(
+                FrameJet(self.chart, self._cache[("frame", key)], displaced,
+                         fd), self.tol)
 
     def scal(self, p, h):
         return self._memo(("scal", h), p, lambda p: scal_at(self, p, h))
@@ -122,9 +169,9 @@ def _curvature_slots(stage, u, conn, directions, h):
     dGam = {}
     for a in directions:
         v = jet.field_value(a)
-        plus = stage.connection(u + h * v).stacked_matrices()
-        minus = stage.connection(u - h * v).stacked_matrices()
-        dGam[a] = (plus - minus) / (2.0 * h)
+        plus, minus = stage.connections([u + h * v, u - h * v])
+        dGam[a] = (plus.stacked_matrices() - minus.stacked_matrices()) \
+            / (2.0 * h)
 
     R = np.zeros((m, m, fourn, fourn))
     for a in directions:

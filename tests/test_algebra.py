@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qclab import connection
 from qclab.algebra import (QuaternionTriple, endo_inner, four_part_decompose,
                            four_part_max_residual, project_P, project_sp1,
                            project_torsion_space, sp1_component,
                            standard_triple, torsion_skew_basis, v_cross)
+from qclab.catalog import conformal, heisenberg
+from qclab.curvature import FrozenPivotStage
 
 TOL = 1e-12
 
@@ -180,6 +183,51 @@ def test_symmetric_commutant_is_one_dimensional_for_n1():
     sv = np.linalg.svd(np.array(vecs), compute_uv=False)
     rank = int((sv > 1e-10 * sv[0]).sum())
     assert rank == 1
+
+
+def _gram_schmidt_torsion_skew_basis(triple):
+    # reference: Gram-Schmidt over the projected elementary skew matrices
+    dim = triple.dim
+    basis = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            S = np.zeros((dim, dim))
+            S[i, j], S[j, i] = 1.0, -1.0
+            cand = project_torsion_space(S, triple)
+            for prev in basis:
+                cand = cand - endo_inner(cand, prev) * prev
+            nrm = endo_inner(cand, cand) ** 0.5
+            if nrm > 1e-8:
+                basis.append(cand / nrm)
+    return basis
+
+
+def _span_projector(basis):
+    flat = np.array([E.ravel() for E in basis])
+    return flat.T @ flat / basis[0].shape[0]
+
+
+def test_torsion_skew_basis_matches_gram_schmidt(monkeypatch):
+    # on the frame triple of heisenberg-2, the SVD basis is orthonormal and
+    # spans what the Gram-Schmidt basis spans; the least-squares correction
+    # of the vertical connection does not depend on which one is used
+    chart = conformal(heisenberg(2), "exp(0.2*u1)")
+    u = chart.sample_points(1, seed=6)[0]
+    jet = FrozenPivotStage(chart, u).connection(u).jet
+    triple = jet.frame.I
+    basis = torsion_skew_basis(triple)
+    reference = _gram_schmidt_torsion_skew_basis(triple)
+    assert len(basis) == len(reference) == 15
+    gram = np.array([[endo_inner(a, b) for b in basis] for a in basis])
+    assert np.abs(gram - np.eye(15)).max() <= 1e-12
+    assert np.abs(_span_projector(basis)
+                  - _span_projector(reference)).max() <= 1e-12
+
+    C = connection.vertical_on_H(jet)[0]
+    monkeypatch.setattr(connection, "torsion_skew_basis", lambda t: np.array(
+        _gram_schmidt_torsion_skew_basis(t)))
+    C_reference = connection.vertical_on_H(jet)[0]
+    assert np.abs(C - C_reference).max() <= 1e-12
 
 
 def test_torsion_skew_basis_dimensions():

@@ -7,7 +7,6 @@ from qclab.algebra import standard_triple
 from qclab.catalog import (_heisenberg_coeff_strings, builtin_charts,
                            config_from_chart, conformal, get_chart, heisenberg,
                            load_config, save_config, validate_chart)
-from qclab.chart import FrameJet, frame_field
 from qclab.connection import torsion_tensors
 from qclab.curvature import FrozenPivotStage
 from qclab.errors import BiquardConditionFail, ConfigError, NonPositiveFactor
@@ -36,7 +35,7 @@ def test_heisenberg_left_invariant_brackets():
     J = standard_triple(1)
     rng = np.random.default_rng(4)
     u = rng.uniform(-1, 1, 7)
-    jet = FrameJet(ch, frame_field(ch, u))
+    jet = FrozenPivotStage(ch, u).connection(u).jet
     fr = jet.frame
     for a in range(4):
         for b in range(4):

@@ -6,10 +6,12 @@ import pytest
 
 from qclab import exprlang
 from qclab.catalog import conformal, get_chart, heisenberg, load_config
-from qclab.chart import (FrameJet, QCChart, frame_field, lie_bracket,
+from qclab.chart import (QCChart, frame_field, lie_bracket,
                          recover_structure, reeb_solve)
+from qclab.curvature import FrozenPivotStage
 from qclab.errors import (BiquardConditionFail, ChartError, DegenerateCoframe,
                           EvalDomainError, NotPositive)
+from qclab.tolerances import Steps
 
 EINSTEIN = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
             / "qc_einstein.qc")
@@ -229,7 +231,7 @@ def test_lie_bracket_coordinate_example(h1):
 def test_cartan_formula_links_brackets_to_differential(h1_deformed):
     rng = np.random.default_rng(8)
     u = rng.uniform(-1, 1, 7)
-    jet = FrameJet(h1_deformed, frame_field(h1_deformed, u))
+    jet = FrozenPivotStage(h1_deformed, u).connection(u).jet
     fr = jet.frame
     worst = 0.0
     for a in range(4):
@@ -263,6 +265,20 @@ def test_stacked_frames_match_single_point_frames(chart):
                      (np.array(list(stacked.I)), np.array(list(single.I))),
                      (stacked.g_coord, single.g_coord)):
             assert np.abs(a - b).max() <= 1e-12
+
+
+def test_stacked_frames_own_their_arrays():
+    # a kept frame must not pin the whole stack it was built in: each array
+    # owns its memory, or is a view of a block holding only that frame's
+    # triple
+    chart = get_chart("heisenberg-1-conformal")
+    stack = chart.sample_points(6, seed=3)
+    for frame in frame_field(chart, stack):
+        for a in (frame.point, frame.eH, frame.xi, frame.coframe,
+                  frame.dcoframe, frame.g_coord, *frame.I):
+            owner = a if a.base is None else a.base
+            assert owner.base is None
+            assert owner.nbytes <= 3 * a.nbytes
 
 
 def _log_factor_chart():
@@ -299,9 +315,9 @@ def test_jet_failure_names_the_displaced_point():
     # step down u1
     chart = conformal(heisenberg(1), "u1 + 1.5")
     u = np.array([-1.495, 0.1, 0.2, -0.1, 0.3, 0.0, 0.1])
-    frame = frame_field(chart, u)
+    stage = FrozenPivotStage(chart, u, Steps(fd=0.01))
     with pytest.raises(NotPositive) as info:
-        FrameJet(chart, frame, h=0.01)
+        stage.connection(u)
     expected = u.copy()
     expected[0] -= 0.01
     assert info.value.point == list(expected)

@@ -1,5 +1,6 @@
 import io
 import json
+import pathlib
 import sys
 
 import pytest
@@ -7,6 +8,9 @@ import pytest
 from qclab import cli
 from qclab.catalog import _heisenberg_coeff_strings
 from tests.test_catalog import bad_config_text
+
+EINSTEIN = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+            / "qc_einstein.qc")
 
 
 def run_cli(*argv):
@@ -135,6 +139,17 @@ def test_sweep_deterministic_across_threads():
     header = out1.splitlines()[0]
     assert header.startswith("index,fiber,u1")
     assert header.endswith("normality_residual,verdict")
+
+
+def test_sweep_on_qc_einstein_point_with_a_failing_stencil_before():
+    # with largest-norm pivots, a displaced stencil point of this base point
+    # failed QPreservationFail (residual 2.6e4) and the call exited 2
+    code, out = run_cli("sweep", "--config", str(EINSTEIN), "--fiber", "8",
+                        "--points=-0.6429,-0.2075,-0.9884,-0.4750,"
+                        "-0.1576,-0.7882,0.2663", "--format", "json")
+    assert code == 0
+    assert [row["verdict"] for row in json.loads(out)["rows"]] == \
+        ["normal"] * 8
 
 
 def test_exit_code_on_usage_error():

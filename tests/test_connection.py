@@ -3,12 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+from qclab.algebra import (project_P, project_sp1, skew_part, sp1_component,
+                           torsion_skew_basis)
 from qclab.catalog import conformal, heisenberg
-from qclab.chart import FrameJet, frame_field
+from qclab.chart import FrameJet, frame_field, jet_points
 from qclab.connection import (connection_at_point, horizontal_partial,
                               torsion_reconstruction_check, torsion_split, torsion_tensors,
                               vertical_on_H, xi_derivatives)
 from qclab.curvature import FrozenPivotStage
+from qclab.tolerances import DEFAULT_STEPS
 from qclab.twistor import rotation_from_x
 
 RNG = np.random.default_rng(21)
@@ -115,8 +118,12 @@ def test_frame_rotation_leaves_scalar_invariants(deformed_chart):
     tors = torsion_tensors(base)
     order = base.frame.pivot_order
     permuted = tuple(reversed(order))
-    fr2 = frame_field(deformed_chart, POINT, pivot_order=permuted)
-    conn2 = connection_at_point(FrameJet(deformed_chart, fr2))
+    h = DEFAULT_STEPS.fd
+    frames = frame_field(deformed_chart,
+                         np.vstack([POINT, jet_points(POINT, h)]),
+                         pivot_order=permuted)
+    conn2 = connection_at_point(
+        FrameJet(deformed_chart, frames[0], frames[1:], h))
     tors2 = torsion_tensors(conn2)
     assert tors2.t0_norm == pytest.approx(tors.t0_norm, abs=1e-7)
     assert tors2.u_norm == pytest.approx(tors.u_norm, abs=1e-7)
@@ -155,11 +162,11 @@ def test_n2_deformed_u_tensor_nonzero():
 
 def test_individual_stage_entrypoints(deformed_chart):
     # the staged operations agree with the orchestrated assembly
-    jet = FrameJet(deformed_chart, frame_field(deformed_chart, POINT))
+    conn = FrozenPivotStage(deformed_chart, POINT).connection(POINT)
+    jet = conn.jet
     gamma = horizontal_partial(jet)
     C, T, B, diag = vertical_on_H(jet)
     _, _, alpha, _ = xi_derivatives(jet, C)
-    conn = FrozenPivotStage(deformed_chart, POINT).connection(POINT)
     tors = torsion_tensors(conn)
     assert np.abs(gamma - conn.gamma).max() <= 1e-9
     assert np.abs(T - conn.T).max() <= 1e-9
@@ -167,3 +174,59 @@ def test_individual_stage_entrypoints(deformed_chart):
     T0, b, u_tensor, d = torsion_split(T, jet.frame.I, deformed_chart.n)
     assert np.abs(T0 - tors.T0_xi).max() <= 1e-12
     assert np.abs(u_tensor - tors.u_tensor).max() <= 1e-12
+
+
+def _loop_connection(jet):
+    """Reference: brackets pair by pair and the vertical least squares one
+    s at a time, as (gamma, B, C, nabla_xi_v, alpha)."""
+    fr, f, triple = jet.frame, jet.fourn, jet.frame.I
+    fields = np.hstack([fr.eH, fr.xi])
+    jac = np.concatenate([jet.d_eH, jet.d_xi], axis=1)
+    br = {(a, b): jac[:, b] @ fields[:, a] - jac[:, a] @ fields[:, b]
+          for a in range(jet.m) for b in range(jet.m)}
+    brhh = np.array([[fr.h_components(br[a, b]) for b in range(f)]
+                     for a in range(f)])
+    gamma = 0.5 * (brhh.transpose(0, 2, 1) - brhh.transpose(2, 1, 0)
+                   + brhh.transpose(1, 0, 2))
+    B = np.array([np.column_stack([fr.h_components(br[f + s, a])
+                                   for a in range(f)]) for s in range(3)])
+
+    def off_sp1_commutators(M):
+        return np.concatenate([(M @ I - I @ M - sp1_component(M @ I - I @ M,
+                                                              triple)).ravel()
+                               for I in triple])
+
+    basis = torsion_skew_basis(triple)
+    C = []
+    for s in range(3):
+        sb = skew_part(B[s])
+        base = project_P(sb, triple) + sp1_component(sb, triple)
+        rhs = -np.concatenate([
+            (D - sp1_component(D, triple)).ravel()
+            for D in (jet.directional_I(t, fr.xi[:, s]) + base @ triple[t]
+                      - triple[t] @ base for t in range(3))])
+        if len(basis):
+            cols = np.column_stack([off_sp1_commutators(E) for E in basis])
+            coeffs = np.linalg.lstsq(cols, rhs, rcond=None)[0]
+            base = base + sum(c * E for c, E in zip(coeffs, basis))
+        C.append(base)
+    nabla_v = np.array([[project_sp1(
+        jet.directional_I(s, fr.xi[:, t]) + C[t] @ triple[s]
+        - triple[s] @ C[t], triple) for s in range(3)] for t in range(3)])
+    nabla_h = np.array([[fr.v_components(br[a, f + s]) for s in range(3)]
+                        for a in range(f)])
+    nabla = np.concatenate([nabla_h, nabla_v])
+    alpha = np.array([nabla[:, (k + 1) % 3, (k + 2) % 3] for k in range(3)])
+    return gamma, B, np.array(C), nabla_v, alpha
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_array_form_matches_loop_reference(n):
+    chart = conformal(heisenberg(n), "exp(0.2*u1)")
+    u = chart.sample_points(1, seed=9)[0]
+    conn = FrozenPivotStage(chart, u).connection(u)
+    scale = max(np.abs(conn.gamma).max(), np.abs(conn.C).max(), 1.0)
+    for ref, got in zip(_loop_connection(conn.jet),
+                        (conn.gamma, conn.B, conn.C, conn.nabla_xi_v,
+                         conn.alpha)):
+        assert np.abs(ref - got).max() <= 1e-12 * scale

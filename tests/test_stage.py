@@ -2,19 +2,23 @@
 curvature, and each displaced-point frame and connection, are built once per
 base point, memoised by the exact point.  The frame counts below pin how
 much work one base point costs: the points at which the coframe is
-evaluated, whether one at a time or stacked."""
+evaluated, whether one at a time or stacked; the call counts pin how many
+stacked ``frame_field`` calls carry them."""
 
 import pathlib
 
 import numpy as np
 import pytest
 
+import qclab.curvature
 from qclab import suite
 from qclab import twistor as tw
 from qclab.catalog import conformal, get_chart, heisenberg, load_config
-from qclab.chart import FrameJet, QCChart, frame_field
+from qclab.chart import FrameJet, QCChart, frame_field, jet_points
 from qclab.connection import connection_at_point
 from qclab.curvature import FrozenPivotStage, scal_at
+from qclab.errors import NotPositive, QPreservationFail
+from qclab.tolerances import DEFAULT_TOLERANCES
 
 POINT1 = np.array([0.31, -0.42, 0.17, 0.55, -0.23, 0.08, -0.61])
 POINT2 = np.linspace(-0.5, 0.5, 11)
@@ -38,6 +42,20 @@ def frame_count(monkeypatch):
     return lambda: sum(rows)
 
 
+@pytest.fixture
+def frame_calls(monkeypatch):
+    """``frame_field`` calls the stage has made so far."""
+    calls = []
+    original = qclab.curvature.frame_field
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(qclab.curvature, "frame_field", counting)
+    return lambda: len(calls)
+
+
 def test_base_point_frame_count(frame_count):
     # base connection 15; the full stencil at h and at h/2, 2 x 14 x 15; and
     # at each step six tau-stencil centres shared with it, each adding a
@@ -57,6 +75,20 @@ def test_invariants_frame_count(frame_count):
     # base connection 23 and a horizontal stencil of 16 x 23
     suite.invariants_row(heisenberg(2), POINT2)
     assert frame_count() == 391
+
+
+def test_base_point_frame_calls(frame_calls):
+    # the free-pivot base frame, the base jet, and one call for both ends of
+    # each central difference: 7 at each of h and h/2 for the full stencil
+    # and 4 at each of the 12 tau-stencil ends
+    tw.base_point_data(heisenberg(1), POINT1)
+    assert frame_calls() == 2 + 2 * 7 + 12 * 4
+
+
+def test_invariants_frame_calls(frame_calls):
+    # the base frame, the base jet and the 8 horizontal central differences
+    suite.invariants_row(heisenberg(2), POINT2)
+    assert frame_calls() == 10
 
 
 def test_rotated_pipeline_frame_count(frame_count):
@@ -116,9 +148,46 @@ def test_stage_seeds_the_free_pivot_frame(chart):
         for built in (stage.frame(u), frozen):
             for a, b in zip(_frame_arrays(built), _frame_arrays(free)):
                 assert np.array_equal(a, b)
+        fd = stage.steps.fd
+        displaced = frame_field(chart, jet_points(u, fd),
+                                pivot_order=stage.pivots)
         assert np.array_equal(
             stage.connection(u).stacked_matrices(),
-            connection_at_point(FrameJet(chart, frozen)).stacked_matrices())
+            connection_at_point(
+                FrameJet(chart, frozen, displaced, fd)).stacked_matrices())
+
+
+@pytest.mark.parametrize("chart", _benchmark_charts(), ids=lambda c: c.name)
+def test_stacked_connections_match_one_by_one(chart):
+    # both ends of a central difference in one stacked call give the
+    # connections that building them one at a time gives, bit for bit
+    u = chart.sample_points(1, seed=4)[0]
+    v = frame_field(chart, u).xi[:, 0]
+    ends = [u + 2e-3 * v, u - 2e-3 * v]
+    stacked = FrozenPivotStage(chart, u).connections(ends)
+    single = FrozenPivotStage(chart, u)
+    for conn, p in zip(stacked, ends):
+        alone = single.connection(p)
+        assert np.array_equal(conn.stacked_matrices(),
+                              alone.stacked_matrices())
+        assert conn.diagnostics == alone.diagnostics
+
+
+def test_stacked_connections_raise_what_one_by_one_raises_first():
+    # the first point's frames are sound but its connection fails; the
+    # second point's frames fail (negative factor).  One by one, the first
+    # point's failure comes first, whichever check the stack meets first.
+    chart = conformal(heisenberg(1), "u1 + 1.5")
+    tol = DEFAULT_TOLERANCES.updated(connection=0.0)
+    u = np.array([0.2, 0.1, 0.2, -0.1, 0.3, 0.0, 0.1])
+    low = u.copy()
+    low[0] = -1.6
+    with pytest.raises(QPreservationFail) as info:
+        FrozenPivotStage(chart, u, tol=tol).connections([u, low])
+    assert info.value.point == list(u)
+    with pytest.raises(NotPositive) as info:
+        FrozenPivotStage(chart, u, tol=tol).connections([low, u])
+    assert info.value.point == list(low)
 
 
 def test_cache_is_keyed_by_the_exact_point():

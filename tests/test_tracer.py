@@ -45,8 +45,9 @@ def test_tracer_binds_every_layer_and_restores_it():
         assert layer in names
     # six tau-stencil ends at each of the steps h and h/2
     assert names.count("curvature.scal_at") == 12
-    # frame_field calls, not frames: one per frame of the 125 connections
-    # and one stacked call per connection for its jet's 14 displaced frames
-    # (1875 frames)
+    # frame_field calls, not frames (1875 of them): the free-pivot base
+    # frame, the base jet, and one stacked call for both ends of each of
+    # the 62 central differences (7 at each of h and h/2 for the full
+    # stencil, 4 at each of the 12 tau-stencil ends)
     assert tracer_mod.frames_per_point_span(tracer.spans) == {
-        "twistor.base_point_data": [250]}
+        "twistor.base_point_data": [64]}
